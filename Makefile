@@ -38,11 +38,15 @@ fuzz:
 # per-round reference (same statuses, same widths) and the stateful
 # session tier to per-prefix fresh replay (byte-identical verdict
 # sequences across the incremental-script corpus, under default and
-# non-default refinement strategies) — all under the race detector.
+# non-default refinement strategies), and the exhaustive FP search's lazy
+# candidate enumeration to the eager candidate list (same candidates,
+# byte-identical verdicts, models and node counts on translated benchgen
+# instances) — all under the race detector.
 differential:
 	$(GO) test -race -count=1 -run 'TestRefinementDifferentialIncrementalVsFresh' ./internal/core
 	$(GO) test -race -count=1 -run 'TestSessionMatchesFresh' ./internal/bitblast
 	$(GO) test -race -count=1 -run 'TestSessionDifferential' ./internal/session
+	$(GO) test -race -count=1 -run 'TestLazyCandidatesMatchEager|TestSolveMatchesEagerOnBenchgen' ./internal/fpsolver
 
 # sat-diff is the CDCL differential gate: random CNF instances against a
 # brute-force oracle across every solver configuration (clause-DB

@@ -10,6 +10,7 @@
 package bitblast
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 
@@ -70,10 +71,21 @@ func New(s *sat.Solver) *Blaster {
 
 func (b *Blaster) fLit() sat.Lit { return b.tLit.Not() }
 
+// ErrInterrupted reports a one-shot Encode stopped by the solver's
+// interrupt (see sat.Solver.Interrupted) between top-level assertions. The
+// partial encoding is not equisatisfiable with the constraint; callers
+// discard the solver and answer unknown.
+var ErrInterrupted = errors.New("bitblast: encoding interrupted")
+
 // Encode adds the CNF encoding of every assertion in c to the solver. In
 // session mode, constraint variables resolve to the session's persistent
 // per-name bit vectors (extended with fresh high bits when the width
 // grew) and every assertion clause carries the round's activation guard.
+//
+// A one-shot Encode polls the solver's interrupt before each top-level
+// assertion and returns ErrInterrupted when it is raised. Session rounds
+// never stop part-way: a half-encoded round would leave guarded clauses
+// and memoized gates the next round builds on.
 func (b *Blaster) Encode(c *smt.Constraint) error {
 	b.c = c
 	for _, v := range c.Vars {
@@ -87,6 +99,9 @@ func (b *Blaster) Encode(c *smt.Constraint) error {
 		}
 	}
 	for _, a := range c.Assertions {
+		if b.sess == nil && b.s.Interrupted() {
+			return ErrInterrupted
+		}
 		l, err := b.boolTerm(a)
 		if err != nil {
 			return err
@@ -147,7 +162,9 @@ func (b *Blaster) assert(l sat.Lit) {
 }
 
 // Solve is a convenience: build a solver, encode, solve, and extract a
-// model on sat.
+// model on sat. An interrupt raised during encoding or preprocessing
+// yields Unknown with a nil error, the same answer an interrupted search
+// gives, so a cancelled solve is never mistaken for an encoding failure.
 func Solve(c *smt.Constraint, configure func(*sat.Solver)) (sat.Status, eval.Assignment, error) {
 	s := sat.New()
 	if configure != nil {
@@ -155,6 +172,9 @@ func Solve(c *smt.Constraint, configure func(*sat.Solver)) (sat.Status, eval.Ass
 	}
 	bl := New(s)
 	if err := bl.Encode(c); err != nil {
+		if errors.Is(err, ErrInterrupted) {
+			return sat.Unknown, nil, nil
+		}
 		return sat.Unknown, nil, err
 	}
 	// One-shot solve: nothing is added or assumed after this point, so
@@ -167,6 +187,9 @@ func Solve(c *smt.Constraint, configure func(*sat.Solver)) (sat.Status, eval.Ass
 	// variance. Callers who want BVE can run s.Preprocess themselves via
 	// configure before Encode adds clauses, or on a solver they own.
 	s.Preprocess(sat.PreprocessOptions{})
+	if s.Interrupted() {
+		return sat.Unknown, nil, nil
+	}
 	st := s.Solve()
 	if st != sat.Sat {
 		return st, nil, nil

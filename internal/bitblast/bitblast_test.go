@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"staub/internal/bv"
@@ -60,6 +61,30 @@ func TestUnsatEquation(t *testing.T) {
 	st, _ := solveConstraint(t, c)
 	if st != sat.Unsat {
 		t.Fatalf("status = %v, want unsat", st)
+	}
+}
+
+// TestSolveInterrupted pins the one-shot path's cancellation contract: a
+// raised interrupt stops encoding before the first assertion, and the
+// answer is Unknown with no error (a cancelled solve, not an encoding
+// failure) and no search decision made.
+func TestSolveInterrupted(t *testing.T) {
+	c := smt.NewConstraint("QF_BV")
+	b := c.Builder
+	x := c.MustDeclare("x", smt.BitVecSort(8))
+	c.MustAssert(b.Eq(b.MustApply(smt.OpBVMul, x, x), b.BV(big.NewInt(49), 8)))
+	var stop atomic.Bool
+	stop.Store(true)
+	var s *sat.Solver
+	st, m, err := Solve(c, func(ss *sat.Solver) {
+		s = ss
+		ss.SetInterrupt(&stop)
+	})
+	if st != sat.Unknown || m != nil || err != nil {
+		t.Fatalf("interrupted Solve = %v, %v, %v; want unknown, no model, no error", st, m, err)
+	}
+	if s.Stats.Decisions != 0 {
+		t.Fatalf("interrupted Solve made %d decisions, want 0", s.Stats.Decisions)
 	}
 }
 

@@ -3,6 +3,7 @@ package bitblast
 import (
 	"math/big"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"staub/internal/eval"
@@ -29,6 +30,32 @@ func widthConstraint(t *testing.T, width int) *smt.Constraint {
 		t.Fatal(err)
 	}
 	return tr.Bounded
+}
+
+// TestSessionEncodeIgnoresInterrupt: a session round never stops part
+// way, since a half-encoded, activation-guarded round would survive into
+// the next check. With the interrupt raised the round still encodes in
+// full and only the search stops; once it clears, the same round decides.
+func TestSessionEncodeIgnoresInterrupt(t *testing.T) {
+	s := sat.New()
+	var stop atomic.Bool
+	stop.Store(true)
+	s.SetInterrupt(&stop)
+	sess := NewSession(s)
+	c := widthConstraint(t, 24)
+	if err := sess.Encode(c); err != nil {
+		t.Fatalf("Encode under interrupt: %v", err)
+	}
+	if st := sess.Solve(); st != sat.Unknown {
+		t.Fatalf("interrupted Solve = %v, want unknown", st)
+	}
+	stop.Store(false)
+	if st := sess.Solve(); st != sat.Sat {
+		t.Fatalf("Solve after the interrupt cleared = %v, want sat", st)
+	}
+	if got := sess.Model()["x"].BV.Int().Int64(); got != 57 {
+		t.Errorf("x = %d, want 57", got)
+	}
 }
 
 // TestSessionWidthRefinement drives a session through a doubling width

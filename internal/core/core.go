@@ -136,21 +136,30 @@ type PortfolioResult struct {
 	Degraded bool
 }
 
-// Package-level portfolio fault counters, exported through
+// Package-level portfolio metrics, exported through
 // RegisterPortfolioMetrics.
 var (
 	portfolioRuns     metrics.Counter
 	portfolioDegraded metrics.Counter
 	portfolioPanics   metrics.Counter
+	// portfolioCancel times each decided race's cancellation, from the
+	// winning answer to the last losing leg's return. Its buckets resolve
+	// the sub-millisecond stops the legs' interrupt polling aims for from
+	// the tail of a leg that misses its interrupt.
+	portfolioCancel = metrics.NewHistogram(
+		10*time.Microsecond, 100*time.Microsecond, time.Millisecond,
+		10*time.Millisecond, 100*time.Millisecond, time.Second)
 )
 
-// RegisterPortfolioMetrics exposes the portfolio race counters through
+// RegisterPortfolioMetrics exposes the portfolio race metrics through
 // reg: total races, races that degraded to the unbounded leg after a
-// contained STAUB-leg fault, and recovered leg panics.
+// contained STAUB-leg fault, recovered leg panics, and the time decided
+// races took to cancel their losing legs.
 func RegisterPortfolioMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("staub_portfolio_runs_total", nil, &portfolioRuns)
 	reg.RegisterCounter("staub_portfolio_degraded_total", nil, &portfolioDegraded)
 	reg.RegisterCounter("staub_portfolio_leg_panics_total", nil, &portfolioPanics)
+	reg.RegisterHistogram("staub_portfolio_cancel_seconds", nil, portfolioCancel)
 }
 
 // PortfolioMetricsSnapshot reports the portfolio counters (runs,
@@ -303,6 +312,7 @@ func RunPortfolio(ctx context.Context, c *smt.Constraint, cfg Config) PortfolioR
 
 	var out PortfolioResult
 	var seqPipe, cubePipe, overPipe PipelineResult
+	var decidedAt time.Time
 	out.Status = status.Unknown
 	for i := 0; i < legs; i++ {
 		l := <-results
@@ -321,8 +331,12 @@ func RunPortfolio(ctx context.Context, c *smt.Constraint, cfg Config) PortfolioR
 			out.FromCube = l.fromCube
 			out.FromOver = l.fromOver
 			// Cancel the other legs.
+			decidedAt = time.Now()
 			cancelAll()
 		}
+	}
+	if !decidedAt.IsZero() {
+		portfolioCancel.Observe(time.Since(decidedAt))
 	}
 	wg.Wait()
 	out.Pipeline = seqPipe

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"staub/internal/benchgen"
 	"staub/internal/smt"
 	"staub/internal/solver"
 	"staub/internal/status"
@@ -186,6 +187,40 @@ func TestPortfolioAgreesWithDirectSolve(t *testing.T) {
 				t.Fatalf("portfolio model does not satisfy the constraint")
 			}
 		})
+	}
+}
+
+// TestPortfolioCancelsLosingLegPromptly races a benchgen nra-unsat
+// instance, which the unbounded leg refutes at once. The sequential leg
+// can only lose, and its bounded FP search must notice the cancellation
+// within a node or two: polling the interrupt every 512 nodes let it burn
+// 512*40 work units however early the race was decided. The decided race
+// also records one cancellation time.
+func TestPortfolioCancelsLosingLegPromptly(t *testing.T) {
+	insts, err := benchgen.Suite("QF_NRA", 48, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c *smt.Constraint
+	for _, inst := range insts {
+		if inst.Family == "nra-unsat" && len(inst.Constraint.Vars) > 1 {
+			c = inst.Constraint
+			break
+		}
+	}
+	if c == nil {
+		t.Fatal("no multi-variable nra-unsat instance in the suite")
+	}
+	before := portfolioCancel.Count()
+	res := RunPortfolio(context.Background(), c, Config{Timeout: 5 * time.Second})
+	if res.Status != status.Unsat || res.FromSTAUB {
+		t.Fatalf("status/FromSTAUB = %v/%t, want unsat from the unbounded leg", res.Status, res.FromSTAUB)
+	}
+	if res.Pipeline.SolveWork >= 512*40 {
+		t.Errorf("losing sequential leg spent %d solve work units, want < %d", res.Pipeline.SolveWork, 512*40)
+	}
+	if got := portfolioCancel.Count(); got != before+1 {
+		t.Errorf("cancel histogram count %d → %d, want one observation", before, got)
 	}
 }
 

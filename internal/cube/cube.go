@@ -26,6 +26,7 @@
 package cube
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -150,8 +151,11 @@ func Solve(c *smt.Constraint, o Options) Result {
 	}
 	bl := bitblast.New(base)
 	if err := bl.Encode(c); err != nil {
+		// An interrupted encode is a cancelled solve, not an encoding
+		// failure.
 		res.Status = status.Unknown
 		res.Work = 1
+		res.TimedOut = errors.Is(err, bitblast.ErrInterrupted)
 		return res
 	}
 	base.Preprocess(sat.PreprocessOptions{})

@@ -60,12 +60,19 @@ type solver struct {
 	params   Params
 	fpVars   []*smt.Term
 	boolVars []*smt.Term
+	// stream builds one variable's candidate enumeration for the
+	// exhaustive search.
+	stream func(smt.Sort, [2]*big.Rat) *candStream
 	// byLastVar[i] lists assertions whose variables are all among the
 	// first i+1 fp variables (for pruning during exhaustive DFS).
 	nodes    int64
 	timedOut bool
 }
 
+// checkBudget charges one search node. The interrupt is one atomic load,
+// polled on every node so a cancelled solve stops within one node; the
+// node budget and the clock keep their cadence, so an uninterrupted
+// search visits the same nodes either way.
 func (s *solver) checkBudget() bool {
 	if s.timedOut {
 		return false
@@ -75,23 +82,35 @@ func (s *solver) checkBudget() bool {
 		s.timedOut = true
 		return false
 	}
-	if s.nodes%512 == 0 {
-		if !s.params.Deadline.IsZero() && time.Now().After(s.params.Deadline) {
-			s.timedOut = true
-			return false
-		}
-		if s.params.Interrupt != nil && s.params.Interrupt.Load() {
-			s.timedOut = true
-			return false
-		}
+	if s.interrupted() {
+		return false
+	}
+	if s.nodes%512 == 0 && !s.params.Deadline.IsZero() && time.Now().After(s.params.Deadline) {
+		s.timedOut = true
+		return false
 	}
 	return true
 }
 
+// interrupted polls the interrupt flag, recording a timeout when it is
+// raised.
+func (s *solver) interrupted() bool {
+	if s.params.Interrupt != nil && s.params.Interrupt.Load() {
+		s.timedOut = true
+	}
+	return s.timedOut
+}
+
 // Solve decides a floating-point constraint.
 func Solve(c *smt.Constraint, p Params) (status.Status, eval.Assignment, Stats) {
+	return solveWith(c, p, newCandStream)
+}
+
+// solveWith is Solve with the exhaustive search's candidate enumeration built
+// by stream; tests substitute the eager reference.
+func solveWith(c *smt.Constraint, p Params, stream func(smt.Sort, [2]*big.Rat) *candStream) (status.Status, eval.Assignment, Stats) {
 	p = p.withDefaults()
-	s := &solver{c: c, params: p}
+	s := &solver{c: c, params: p, stream: stream}
 	for _, v := range c.Vars {
 		switch v.Sort.Kind {
 		case smt.KindFloat:
@@ -146,7 +165,9 @@ func (s *solver) assertionIndex() [][]*smt.Term {
 
 // candidates returns every bit pattern of the sort ordered small-magnitude
 // first (positive then negative per magnitude), excluding NaN and
-// infinities (which the translation guards off).
+// infinities (which the translation guards off). The exhaustive search
+// enumerates the same order lazily (candStream); this eager list is its
+// reference.
 func candidates(sort smt.Sort) []fp.Value {
 	f := smt.FPFormat(sort)
 	total := f.TotalBits()
@@ -220,6 +241,54 @@ func (s *solver) unitBounds() map[string][2]*big.Rat {
 	return out
 }
 
+// candStream enumerates one variable's candidates lazily: the order of
+// candidates(sort), keeping only patterns inside the variable's unit
+// bounds. Patterns generated so far are memoized, so deeper DFS levels
+// replay their prefix instead of regenerating it, and a search that stops
+// early never builds the rest of a space of up to 2^21 patterns.
+type candStream struct {
+	f      fp.Format
+	half   int
+	next   int // next raw pattern in enumeration order, 0 ≤ next ≤ 2*half
+	lo, hi *big.Rat
+	vals   []fp.Value
+}
+
+func newCandStream(sort smt.Sort, bound [2]*big.Rat) *candStream {
+	f := smt.FPFormat(sort)
+	return &candStream{f: f, half: 1 << (f.TotalBits() - 1), lo: bound[0], hi: bound[1]}
+}
+
+// at returns the k-th candidate of cs, generating patterns until it
+// exists. It reports false when the stream is exhausted, or when the
+// interrupt fires while patterns outside the bounds are being skipped
+// (s.timedOut tells the two apart).
+func (s *solver) at(cs *candStream, k int) (fp.Value, bool) {
+	for len(cs.vals) <= k {
+		if cs.next == 2*cs.half || s.interrupted() {
+			return fp.Value{}, false
+		}
+		// Raw pattern 2m is magnitude m positive, 2m+1 the same negated.
+		m := cs.next / 2
+		if cs.next%2 == 1 {
+			m |= cs.half
+		}
+		cs.next++
+		v := fp.FromBits(cs.f, big.NewInt(int64(m)))
+		if !v.IsFinite() {
+			continue
+		}
+		if cs.lo != nil || cs.hi != nil {
+			r, _ := v.Rat()
+			if cs.lo != nil && r.Cmp(cs.lo) < 0 || cs.hi != nil && r.Cmp(cs.hi) > 0 {
+				continue
+			}
+		}
+		cs.vals = append(cs.vals, v)
+	}
+	return cs.vals[k], true
+}
+
 func (s *solver) exhaustive() (status.Status, eval.Assignment) {
 	if len(s.fpVars) == 0 {
 		m := eval.Assignment{}
@@ -230,23 +299,9 @@ func (s *solver) exhaustive() (status.Status, eval.Assignment) {
 		return status.Sat, m
 	}
 	bounds := s.unitBounds()
-	cands := make([][]fp.Value, len(s.fpVars))
+	cands := make([]*candStream, len(s.fpVars))
 	for i, v := range s.fpVars {
-		cands[i] = candidates(v.Sort)
-		if b, ok := bounds[v.Name]; ok {
-			kept := cands[i][:0:0]
-			for _, cand := range cands[i] {
-				r, _ := cand.Rat()
-				if b[0] != nil && r.Cmp(b[0]) < 0 {
-					continue
-				}
-				if b[1] != nil && r.Cmp(b[1]) > 0 {
-					continue
-				}
-				kept = append(kept, cand)
-			}
-			cands[i] = kept
-		}
+		cands[i] = s.stream(v.Sort, bounds[v.Name])
 	}
 	index := s.assertionIndex()
 	asg := eval.Assignment{}
@@ -260,12 +315,16 @@ func (s *solver) exhaustive() (status.Status, eval.Assignment) {
 	return status.Unsat, nil
 }
 
-func (s *solver) dfs(i int, cands [][]fp.Value, index [][]*smt.Term, asg eval.Assignment) status.Status {
+func (s *solver) dfs(i int, cands []*candStream, index [][]*smt.Term, asg eval.Assignment) status.Status {
 	if i == len(s.fpVars) {
 		return status.Sat
 	}
 	name := s.fpVars[i].Name
-	for _, cand := range cands[i] {
+	for k := 0; ; k++ {
+		cand, more := s.at(cands[i], k)
+		if !more {
+			break
+		}
 		if !s.checkBudget() {
 			return status.Unknown
 		}

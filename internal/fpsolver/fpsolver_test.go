@@ -2,6 +2,7 @@ package fpsolver
 
 import (
 	"math/big"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -155,6 +156,37 @@ func TestFloat64LocalSearchNoPanic(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("bad model %v: %v", m, err)
 		}
+	}
+}
+
+// TestInterruptStopsWithinOneNode pins the cancellation latency: with
+// the interrupt already raised, the exhaustive and the local-search path
+// both give up after at most one node, where a 512-node poll window used
+// to let them run on.
+func TestInterruptStopsWithinOneNode(t *testing.T) {
+	var stop atomic.Bool
+	stop.Store(true)
+	for _, tc := range []struct {
+		name       string
+		sort       smt.Sort
+		exhaustive bool
+	}{
+		{"exhaustive", smallSort(), true},
+		{"local-search", smt.Float32Sort, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := smt.NewConstraint("QF_FP")
+			b := c.Builder
+			x := c.MustDeclare("x", tc.sort)
+			y := c.MustDeclare("y", tc.sort)
+			c.MustAssert(b.MustApply(smt.OpFPGt, x, fpConst(t, c, tc.sort, 7, 1)))
+			c.MustAssert(b.MustApply(smt.OpFPLt, y, x))
+			st, _, stats := Solve(c, Params{Interrupt: &stop, Seed: 1})
+			if st != status.Unknown || !stats.TimedOut || stats.Nodes > 1 || stats.Exhaustive != tc.exhaustive {
+				t.Fatalf("interrupted Solve = %v %+v, want unknown, timed out, exhaustive=%t, at most 1 node",
+					st, stats, tc.exhaustive)
+			}
+		})
 	}
 }
 

@@ -29,9 +29,13 @@ type SharedClause struct {
 // immediately reusable.
 func (s *Solver) Interrupt() { s.stop.Store(true) }
 
-// Interrupted reports whether Interrupt has been called since the last
-// SolveAssuming entry.
-func (s *Solver) Interrupted() bool { return s.stop.Load() }
+// Interrupted reports whether the solver has been asked to stop: Interrupt
+// called since the last SolveAssuming entry, or the external flag installed
+// by SetInterrupt raised. It is two atomic loads and no clock read, cheap
+// enough for the search to poll on every decision and conflict.
+func (s *Solver) Interrupted() bool {
+	return s.stop.Load() || (s.interrupted != nil && s.interrupted.Load())
+}
 
 // ImportClauses queues learned clauses from a sibling replica for this
 // solver to adopt. It is safe to call from any goroutine while the solver

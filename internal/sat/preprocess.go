@@ -108,7 +108,9 @@ type elimEntry struct {
 // (when enabled) bounded variable elimination. Call it between solves;
 // pending assumptions do not survive it. It is idempotent and cheap on an
 // already-preprocessed database, which is what makes it usable as
-// per-round inprocessing in incremental sessions.
+// per-round inprocessing in incremental sessions. A raised interrupt (see
+// Interrupted) cuts subsumption short and skips elimination; the database
+// committed is still equivalent to the input.
 func (s *Solver) Preprocess(opts PreprocessOptions) {
 	if !s.ok {
 		return
@@ -131,7 +133,7 @@ func (s *Solver) Preprocess(opts PreprocessOptions) {
 	p := &preprocessor{s: s}
 	p.init()
 	p.subsumeAll()
-	if s.ok && opts.VarElim {
+	if s.ok && opts.VarElim && !s.Interrupted() {
 		p.eliminate(opts)
 		// Resolvents open fresh subsumption chances over their neighbors.
 		p.subsumeAll()
@@ -195,8 +197,15 @@ func (p *preprocessor) push(i int) {
 	}
 }
 
+// subsumeAll drains the subsumption queue, polling the solver's interrupt
+// every 256 items. Stopping early is sound: subsumption and
+// self-subsuming resolution preserve equivalence, so commit keeps
+// whatever database the pass has reached.
 func (p *preprocessor) subsumeAll() {
-	for len(p.queue) > 0 && p.s.ok {
+	for n := 0; len(p.queue) > 0 && p.s.ok; n++ {
+		if n%256 == 0 && p.s.Interrupted() {
+			return
+		}
 		i := p.queue[0]
 		p.queue = p.queue[1:]
 		p.inQ[i] = false

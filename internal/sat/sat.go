@@ -956,13 +956,7 @@ func (s *Solver) exhausted() bool {
 	if !s.Deadline.IsZero() && time.Now().After(s.Deadline) {
 		return true
 	}
-	if s.interrupted != nil && s.interrupted.Load() {
-		return true
-	}
-	if s.stop.Load() {
-		return true
-	}
-	return false
+	return s.Interrupted()
 }
 
 func (s *Solver) search(conflictBudget int64) Status {
@@ -1015,7 +1009,10 @@ func (s *Solver) search(conflictBudget int64) Status {
 			if conflicts >= conflictBudget {
 				return Unknown
 			}
-			if conflicts%256 == 0 && s.exhausted() {
+			// The interrupt is polled on every conflict and decision; the
+			// caps and the clock keep their sparse cadence, so an
+			// uninterrupted search follows the same trajectory either way.
+			if s.Interrupted() || conflicts%256 == 0 && s.exhausted() {
 				return Unknown
 			}
 			s.maybeReduceDB()
@@ -1023,7 +1020,7 @@ func (s *Solver) search(conflictBudget int64) Status {
 		}
 		// Decide. Re-check budgets periodically on conflict-free stretches,
 		// where the conflicts%256 check above never fires.
-		if s.Stats.Decisions%1024 == 0 && s.exhausted() {
+		if s.Interrupted() || s.Stats.Decisions%1024 == 0 && s.exhausted() {
 			return Unknown
 		}
 		// Establish pending assumptions before any search decision; each

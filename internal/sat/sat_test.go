@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -417,6 +418,39 @@ func TestStatsAccounting(t *testing.T) {
 			t.Errorf("Deleted %d > Learned %d", s.Stats.Deleted, s.Stats.Learned)
 		}
 	})
+}
+
+// TestPreprocessInterruptStopsSubsumption: a raised interrupt cuts
+// subsumption short, and the database it leaves still decides the same.
+func TestPreprocessInterruptStopsSubsumption(t *testing.T) {
+	build := func() *Solver {
+		s := New()
+		a := s.NewVar()
+		for i := 0; i < 600; i++ {
+			b, c := s.NewVar(), s.NewVar()
+			s.AddClause(PosLit(a), PosLit(b))
+			s.AddClause(PosLit(a), PosLit(b), PosLit(c)) // subsumed
+		}
+		return s
+	}
+	full := build()
+	full.Preprocess(PreprocessOptions{})
+	if full.Stats.Subsumed != 600 {
+		t.Fatalf("uninterrupted Subsumed = %d, want 600", full.Stats.Subsumed)
+	}
+	var stop atomic.Bool
+	stop.Store(true)
+	cut := build()
+	cut.SetInterrupt(&stop)
+	cut.Preprocess(PreprocessOptions{})
+	if cut.Stats.Subsumed != 0 || cut.NumClauses() != 1200 {
+		t.Fatalf("interrupted Preprocess: Subsumed = %d, %d clauses; want 0 and 1200",
+			cut.Stats.Subsumed, cut.NumClauses())
+	}
+	cut.SetInterrupt(nil)
+	if got, want := cut.Solve(), full.Solve(); got != want || got != Sat {
+		t.Fatalf("after interrupted Preprocess Solve = %v, uninterrupted %v, want sat", got, want)
+	}
 }
 
 // TestPreprocessCounters pins exact subsumption / self-subsumption /
