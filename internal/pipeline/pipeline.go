@@ -479,10 +479,10 @@ func failFault(st *State, pass, fault string, err error) Verdict {
 
 // watchdogShare is the watchdog allowance for one execution of the named
 // pass. Transform passes are sliced from the nominal request timeout (a
-// quarter each, with a floor that keeps -race slowdowns clear of the
-// trigger); bounded-solve already runs under its own deadline and work
-// budget, so its watchdog is only an anti-stuck backstop a full timeout
-// beyond that deadline. A zero share disarms the watchdog.
+// quarter each, floored at minWatchdogShare); bounded-solve already runs
+// under its own deadline and work budget, so its watchdog is only an
+// anti-stuck backstop a full timeout beyond that deadline. A zero share
+// disarms the watchdog.
 func watchdogShare(st *State, pass string) time.Duration {
 	if pass == PassBoundedSolve || pass == PassCubeSolve {
 		if st.Deadline.IsZero() {
@@ -490,12 +490,17 @@ func watchdogShare(st *State, pass string) time.Duration {
 		}
 		return time.Until(st.Deadline) + st.Cfg.Timeout
 	}
-	share := st.Cfg.Timeout / 4
-	if share < 25*time.Millisecond {
-		share = 25 * time.Millisecond
-	}
-	return share
+	return max(st.Cfg.Timeout/4, minWatchdogShare)
 }
+
+// minWatchdogShare floors a transform pass's watchdog. The watchdog is
+// wall-clock, so it also counts time a pass spends runnable but not
+// running: with more busy workers than CPUs, the scheduler's 10 ms
+// time slices alone can hold a pass of a few microseconds' work for tens
+// of milliseconds (and -race multiplies that). The floor keeps such
+// stalls well clear of the trigger, so only a genuinely wedged pass is
+// cancelled and a deterministic run stays a pure function of its work.
+const minWatchdogShare = 250 * time.Millisecond
 
 // workCeiling is the per-pass work ceiling for cfg: several times the
 // whole run's deterministic work budget, so no legitimate pass can reach
