@@ -38,15 +38,21 @@ fuzz:
 # per-round reference (same statuses, same widths) and the stateful
 # session tier to per-prefix fresh replay (byte-identical verdict
 # sequences across the incremental-script corpus, under default and
-# non-default refinement strategies), and the exhaustive FP search's lazy
+# non-default refinement strategies), the exhaustive FP search's lazy
 # candidate enumeration to the eager candidate list (same candidates,
 # byte-identical verdicts, models and node counts on translated benchgen
-# instances) — all under the race detector.
+# instances), and intsolver's int64 nonlinear kernel to the big.Rat
+# branch-and-prune (same status, model and Stats on the first 25 benchgen
+# QF_NIA instances of seed 1 plus the refinement corpus, and on cases
+# built to take each exact fallback; -short keeps the reference's ~10 µs
+# per node to seconds; plain `go test` runs seeds 1–3) — all under the
+# race detector.
 differential:
 	$(GO) test -race -count=1 -run 'TestRefinementDifferentialIncrementalVsFresh' ./internal/core
 	$(GO) test -race -count=1 -run 'TestSessionMatchesFresh' ./internal/bitblast
 	$(GO) test -race -count=1 -run 'TestSessionDifferential' ./internal/session
 	$(GO) test -race -count=1 -run 'TestLazyCandidatesMatchEager|TestSolveMatchesEagerOnBenchgen' ./internal/fpsolver
+	$(GO) test -race -short -count=1 -run 'TestKernelMatchesReference|TestKernelFallbacksMatchReference' ./internal/intsolver
 
 # sat-diff is the CDCL differential gate: random CNF instances against a
 # brute-force oracle across every solver configuration (clause-DB

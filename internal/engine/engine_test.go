@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -158,6 +159,66 @@ func TestCacheKeyDistinguishesConfig(t *testing.T) {
 		}
 		seen[k] = i
 	}
+}
+
+// TestCacheKeyCoversEveryConfigField walks every field of core.Config,
+// recursing into nested structs such as absint.Limits, sets it to a
+// non-zero value and requires the key of a pipeline and a portfolio job to
+// change. A field added to Config but not to Job.Key's format string
+// fails here instead of serving another configuration's cached verdict.
+func TestCacheKeyCoversEveryConfigField(t *testing.T) {
+	c := parse(t, "(set-logic QF_NIA)(declare-fun x () Int)(assert (> (* x x) 10))(check-sat)")
+	fields := 0
+	for _, kind := range []engine.Kind{engine.KindPipeline, engine.KindPortfolio} {
+		base := engine.Job{Kind: kind, Constraint: c}
+		baseKey := base.Key()
+		var walk func(typ reflect.Type, index []int, path string)
+		walk = func(typ reflect.Type, index []int, path string) {
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				idx := append(append([]int(nil), index...), i)
+				if f.Type.Kind() == reflect.Struct {
+					walk(f.Type, idx, path+f.Name+".")
+					continue
+				}
+				j := base
+				v := reflect.ValueOf(&j.Config).Elem().FieldByIndex(idx)
+				if !setNonZero(v) {
+					t.Fatalf("Config.%s%s: no non-zero value for a %v field; extend the test", path, f.Name, v.Kind())
+				}
+				if j.Key() == baseKey {
+					t.Errorf("kind %d: setting Config.%s%s leaves Job.Key unchanged", kind, path, f.Name)
+				}
+				fields++
+			}
+		}
+		walk(reflect.TypeOf(core.Config{}), nil, "")
+	}
+	if fields == 0 {
+		t.Fatal("core.Config has no fields to check")
+	}
+}
+
+// setNonZero sets v to a non-zero value of its kind, or reports false.
+func setNonZero(v reflect.Value) bool {
+	if !v.CanSet() {
+		return false
+	}
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(1)
+	case reflect.String:
+		v.SetString("x")
+	default:
+		return false
+	}
+	return true
 }
 
 // TestRunCancellation: cancelling mid-batch stops the run promptly, marks

@@ -43,14 +43,6 @@ type Params struct {
 	MaxDNFCases int
 	// NodeBudget bounds total search nodes (default 10M).
 	NodeBudget int64
-	// Prune enables per-node interval refutation during nonlinear search.
-	// It is off by default: mainstream solvers' nonlinear engines
-	// (incremental linearization, NLSat) do not behave like interval
-	// solvers, and the honest enumeration profile — exponential in the
-	// magnitude of the smallest solution — is the cost structure the
-	// paper's theory arbitrage exploits. Root-level refutation always
-	// runs regardless.
-	Prune bool
 }
 
 func (p Params) withDefaults() Params {
@@ -83,6 +75,9 @@ type searchState struct {
 	params   Params
 	nodes    int64
 	timedOut bool
+	// reference runs every nonlinear box on branchPrune, bypassing the
+	// int64 kernel (the differential tests' reference).
+	reference bool
 }
 
 func (st *searchState) spend(n int64) bool {
@@ -110,9 +105,12 @@ func (st *searchState) spend(n int64) bool {
 // Solve decides an integer constraint. The model (when Sat) assigns every
 // declared variable an integer value.
 func Solve(c *smt.Constraint, p Params) (status.Status, eval.Assignment, Stats) {
-	p = p.withDefaults()
-	st := &searchState{params: p}
+	st := &searchState{params: p.withDefaults()}
+	return st.solve(c)
+}
 
+func (st *searchState) solve(c *smt.Constraint) (status.Status, eval.Assignment, Stats) {
+	p := st.params
 	cases, err := poly.DNFConstraint(c, p.MaxDNFCases)
 	if err != nil {
 		return status.Unknown, nil, Stats{}
@@ -266,10 +264,15 @@ func solveNonlinearCase(c *smt.Constraint, cs poly.Case, st *searchState) (statu
 		return status.Unsat, nil
 	}
 
+	var cc *case64
+	if !st.reference {
+		cc = compileCase64(cs, vars)
+	}
+
 	// If every variable is already finitely bounded, one exhaustive
 	// branch-and-prune pass decides the case.
 	if boxBounded(base, vars) {
-		res, model := branchPrune(cs, vars, base, st)
+		res, model := searchBox(cs, cc, vars, base, st)
 		if res == status.Sat {
 			return status.Sat, completeModel(c, model)
 		}
@@ -283,7 +286,7 @@ func solveNonlinearCase(c *smt.Constraint, cs poly.Case, st *searchState) (statu
 		for _, v := range vars {
 			box[v] = base[v].Intersect(interval.Of(-r, r)).RoundIntoInts()
 		}
-		res, model := branchPrune(cs, vars, box, st)
+		res, model := searchBox(cs, cc, vars, box, st)
 		if res == status.Sat {
 			return status.Sat, completeModel(c, model)
 		}
@@ -354,8 +357,26 @@ func boxBounded(box map[string]interval.Interval, vars []string) bool {
 	return true
 }
 
-// branchPrune explores the box depth-first: prune by interval refutation,
-// check point boxes exactly, split the widest variable otherwise.
+// searchBox explores box on the int64 kernel when the case compiled (cc
+// != nil) and every endpoint is an integer within ±2^61, and on the exact
+// branchPrune otherwise. Both visit the same nodes in the same order.
+func searchBox(cs poly.Case, cc *case64, vars []string, box map[string]interval.Interval, st *searchState) (status.Status, map[string]*big.Rat) {
+	if cc != nil {
+		if k, ok := cc.newKernel64(box); ok {
+			return k.search(st), k.model
+		}
+	}
+	return branchPrune(cs, vars, box, st)
+}
+
+// branchPrune explores the box depth-first: check point boxes exactly,
+// split the widest variable otherwise. It refutes nothing per node, by
+// design: mainstream solvers' nonlinear engines (incremental
+// linearization, NLSat) do not behave like interval solvers, and the
+// honest enumeration profile — exponential in the magnitude of the
+// smallest solution — is the cost structure the paper's theory arbitrage
+// exploits. Interval refutation runs once, over the root box, in
+// solveNonlinearCase.
 func branchPrune(cs poly.Case, vars []string, box map[string]interval.Interval, st *searchState) (status.Status, map[string]*big.Rat) {
 	if !st.spend(1) {
 		return status.Unknown, nil
@@ -363,13 +384,6 @@ func branchPrune(cs poly.Case, vars []string, box map[string]interval.Interval, 
 	for _, v := range vars {
 		if box[v].Empty() {
 			return status.Unsat, nil
-		}
-	}
-	if st.params.Prune {
-		for _, a := range cs {
-			if a.Refuted(box) {
-				return status.Unsat, nil
-			}
 		}
 	}
 	// Pick the widest non-point variable; an unbounded interval wins

@@ -290,6 +290,21 @@ func (r Rel) String() string {
 	}
 }
 
+// Satisfied reports whether a value of p with the given sign (-1, 0 or
+// 1) satisfies p ⋈ 0.
+func (r Rel) Satisfied(sign int) bool {
+	switch r {
+	case RelEq:
+		return sign == 0
+	case RelNe:
+		return sign != 0
+	case RelLe:
+		return sign <= 0
+	default:
+		return sign < 0
+	}
+}
+
 // Atom is a polynomial constraint p ⋈ 0.
 type Atom struct {
 	P   Poly
@@ -304,16 +319,7 @@ func (a Atom) Holds(point map[string]*big.Rat) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	switch a.Rel {
-	case RelEq:
-		return v.Sign() == 0, nil
-	case RelNe:
-		return v.Sign() != 0, nil
-	case RelLe:
-		return v.Sign() <= 0, nil
-	default:
-		return v.Sign() < 0, nil
-	}
+	return a.Rel.Satisfied(v.Sign()), nil
 }
 
 // Refuted reports whether the atom is definitely false over the box.

@@ -226,6 +226,7 @@ func New(cfg Config) *Server {
 	core.RegisterRefineMetrics(reg)
 	core.RegisterPassMetrics(reg)
 	core.RegisterPortfolioMetrics(reg)
+	core.RegisterOverApproxMetrics(reg)
 	solver.RegisterSATMetrics(reg)
 	cube.RegisterCubeMetrics(reg)
 	chaos.RegisterMetrics(reg)

@@ -322,6 +322,7 @@ func TestMetricsAndStatsEndpoints(t *testing.T) {
 		`staub_http_requests_total{code="200",path="/v1/solve"} 2`,
 		"# TYPE staub_solves_total counter",
 		"# TYPE staub_portfolio_cancel_seconds histogram",
+		"# TYPE staub_overapprox_runs_total counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, text)
