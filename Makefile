@@ -55,10 +55,10 @@ differential:
 	$(GO) test -race -short -count=1 -run 'TestKernelMatchesReference|TestKernelFallbacksMatchReference' ./internal/intsolver
 
 # sat-diff is the CDCL differential gate: random CNF instances against a
-# brute-force oracle across every solver configuration (clause-DB
-# policies, preprocessing, variable elimination), SolveAssuming against
-# fresh copies, and the activation-literal retirement pattern — all under
-# the race detector.
+# brute-force oracle across every solver configuration (default settings,
+# frequent DB reduction, preprocessing, variable elimination),
+# SolveAssuming against fresh copies, and the activation-literal
+# retirement pattern — all under the race detector.
 sat-diff:
 	$(GO) test -race -count=1 -run 'TestSATDiff' ./internal/sat
 
@@ -107,13 +107,9 @@ session-smoke:
 pool-smoke:
 	$(GO) run ./scripts/poolsmoke
 
+# bench runs the staub-serve benchmark (bench/README.md): four workloads,
+# end-to-end and per-layer metrics, every verdict oracle-checked. The cube
+# tier has no workload there; `go run ./scripts/cubebench` is its
+# standalone measurement (BENCH_8.json).
 bench:
-	$(GO) test -bench=. -benchmem
-	$(GO) run ./scripts/refinebench -out BENCH_3.json
-	$(GO) run ./scripts/passbench -out BENCH_4.json
-	$(GO) run ./scripts/chaosbench -out BENCH_5.json
-	$(GO) run ./scripts/satbench -out BENCH_6.json
-	$(GO) run ./scripts/sessionbench -out BENCH_7.json
-	$(GO) run ./scripts/cubebench -out BENCH_8.json
-	$(GO) run ./scripts/overbench -out BENCH_9.json
-	$(GO) run ./scripts/poolbench -out BENCH_10.json
+	bash bench/run.sh

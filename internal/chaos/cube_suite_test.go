@@ -3,9 +3,11 @@ package chaos_test
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"staub/internal/benchgen"
 	"staub/internal/chaos"
 	"staub/internal/core"
 	"staub/internal/cube"
@@ -15,6 +17,39 @@ import (
 	"staub/internal/solver"
 	"staub/internal/status"
 )
+
+// cubeShortCorpus names the -short cube corpus: fast benchgen seed-1
+// instances whose clean cube run splits. The refinement corpus cannot
+// serve here — the cube probe decides all of suiteCorpus's -short subset,
+// so neither cube site would ever be reached, and the one instance that
+// does split (cubes-855) is too slow to run under -race on every fault.
+var cubeShortCorpus = []struct{ logic, name string }{
+	{"QF_LIA", "knapsack-0007"},
+	{"QF_LIA", "lin-sat-0033"},
+	{"QF_NIA", "sign-unsat-0047"},
+}
+
+// cubeCorpus is the cube suite's corpus: the whole refinement corpus, or
+// cubeShortCorpus in -short mode.
+func cubeCorpus(t *testing.T) []harness.RefinementInstance {
+	t.Helper()
+	if !testing.Short() {
+		return harness.RefinementCorpus()
+	}
+	var corpus []harness.RefinementInstance
+	for _, want := range cubeShortCorpus {
+		insts, err := benchgen.Suite(want.logic, 60, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(insts, func(inst benchgen.Instance) bool { return inst.Name == want.name })
+		if i < 0 {
+			t.Fatalf("benchgen seed 1 has no %s instance %s", want.logic, want.name)
+		}
+		corpus = append(corpus, harness.RefinementInstance{Name: want.name, Src: insts[i].Constraint.Script()})
+	}
+	return corpus
+}
 
 // cubeSuiteJobs builds pipeline jobs that actually reach the cube-solve
 // pass: no refinement rounds (sessions delegate to the sequential pass)
@@ -82,7 +117,7 @@ func settleGoroutines(t *testing.T, site string, before int) {
 // verdict must equal the clean cube reference whenever the pipeline
 // reports no contained fault, and no goroutine may leak.
 func TestChaosCubeSitesNoFlips(t *testing.T) {
-	corpus := suiteCorpus(t)
+	corpus := cubeCorpus(t)
 	ref := cubeReferenceStatuses(t, corpus)
 	sites := []string{"cube:split", "cube:leg"}
 	for _, site := range sites {
@@ -120,7 +155,7 @@ func TestChaosCubeSitesNoFlips(t *testing.T) {
 // the per-leg site: the verdict must survive via the sequential
 // fallback, and every leg goroutine must be reaped on every path.
 func TestChaosCubeParallelDriver(t *testing.T) {
-	corpus := suiteCorpus(t)
+	corpus := cubeCorpus(t)
 	budget := solver.WorkBudgetFor(time.Second)
 	chaos.Disable()
 	refs := make([]status.Status, len(corpus))

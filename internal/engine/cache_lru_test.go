@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"staub/internal/smt"
+	"staub/internal/solver"
 )
 
 func parseC(t *testing.T, src string) *smt.Constraint {
@@ -116,8 +118,35 @@ func TestCacheUnboundedNeverEvicts(t *testing.T) {
 	}
 }
 
+// poolOffCorpus mixes sat, unsat and undecided constraints over QF_NIA,
+// QF_LIA and QF_BV for the pool-off parity check.
+var poolOffCorpus = []struct{ name, src string }{
+	{"cube-sum", `(set-logic QF_NIA)
+		(declare-fun x () Int)(declare-fun y () Int)(declare-fun z () Int)
+		(assert (= (+ (* x x x) (* y y y) (* z z z)) 855))(check-sat)`},
+	{"square-root", `(set-logic QF_NIA)
+		(declare-fun x () Int)
+		(assert (= (* x x) 1369))(assert (> x 0))(check-sat)`},
+	{"product", `(set-logic QF_NIA)
+		(declare-fun x () Int)(declare-fun y () Int)
+		(assert (= (* x y) 391))(assert (> x 1))(assert (> y x))(check-sat)`},
+	{"interval-gap", `(set-logic QF_LIA)
+		(declare-fun x () Int)
+		(assert (< x 7))(assert (> x 7))(check-sat)`},
+	{"distinct-sum", `(set-logic QF_LIA)
+		(declare-fun u () Int)(declare-fun v () Int)(declare-fun w () Int)
+		(assert (and (>= u 0) (<= u 2) (>= v 0) (<= v 2) (>= w 0) (<= w 2)))
+		(assert (distinct u v w))(assert (= (+ u v w) 4))(check-sat)`},
+	{"bv-mix", `(set-logic QF_BV)
+		(declare-fun a () (_ BitVec 8))(declare-fun b () (_ BitVec 8))
+		(assert (= (bvmul a b) (_ bv36 8)))(assert (bvult a b))(check-sat)`},
+}
+
 // TestCacheRemoteTierConsulted: with a remote tier installed, a local
-// miss consults it; Solve uses it, SolveLocal bypasses it.
+// miss consults it; Solve uses it, SolveLocal bypasses it. With no tier
+// installed, Solve must be exactly SolveLocal — the same verdict for the
+// same deterministic work — so a standalone server pays nothing for the
+// pool hook.
 func TestCacheRemoteTierConsulted(t *testing.T) {
 	cache := NewCache()
 	remoteCalls := 0
@@ -150,5 +179,17 @@ func TestCacheRemoteTierConsulted(t *testing.T) {
 	cache.SetRemote(nil)
 	if cache.Remote() != nil {
 		t.Error("SetRemote(nil) did not clear the tier")
+	}
+
+	for _, inst := range poolOffCorpus {
+		job := Job{Kind: KindSolve, Constraint: parseC(t, inst.src),
+			Profile: solver.Prima, Timeout: 1500 * time.Millisecond, Deterministic: true}
+		// Fresh engines, so neither side sees the other's cache.
+		pooled := New(1, NewCache()).Solve(context.Background(), job).Solve
+		local := New(1, NewCache()).SolveLocal(context.Background(), job).Solve
+		if pooled.Status != local.Status || pooled.Work != local.Work {
+			t.Errorf("%s: pool-off Solve %v/%d, SolveLocal %v/%d",
+				inst.name, pooled.Status, pooled.Work, local.Status, local.Work)
+		}
 	}
 }

@@ -9,8 +9,6 @@ package sat
 import (
 	"math/rand"
 	"testing"
-
-	"staub/internal/sat/satlegacy"
 )
 
 // randCNF generates a random CNF with mixed clause widths (1..4) over
@@ -64,23 +62,22 @@ func checkModel(t *testing.T, tag string, s *Solver, clauses [][]Lit) {
 	}
 }
 
-// TestSATDiffOracle cross-checks every solver configuration — both
-// clause-DB policies, with and without preprocessing (including variable
-// elimination), with an aggressive reduceDB schedule — against the
-// brute-force oracle on the same instances.
+// TestSATDiffOracle cross-checks every solver configuration — default
+// settings, an aggressive reduceDB schedule, and preprocessing with and
+// without variable elimination — against the brute-force oracle on the
+// same instances.
 func TestSATDiffOracle(t *testing.T) {
 	configs := []struct {
 		name string
 		run  func(nVars int, clauses [][]Lit) (*Solver, Status)
 	}{
+		{"default", func(n int, cls [][]Lit) (*Solver, Status) {
+			s := buildSolver(n, cls)
+			return s, s.Solve()
+		}},
 		{"glue", func(n int, cls [][]Lit) (*Solver, Status) {
 			s := buildSolver(n, cls)
 			s.ReduceFirst = 8 // force frequent reductions on tiny instances
-			return s, s.Solve()
-		}},
-		{"activity", func(n int, cls [][]Lit) (*Solver, Status) {
-			s := buildSolver(n, cls)
-			s.DB = DBActivity
 			return s, s.Solve()
 		}},
 		{"glue+subsume", func(n int, cls [][]Lit) (*Solver, Status) {
@@ -229,48 +226,6 @@ func TestSATDiffGrowingDatabase(t *testing.T) {
 			if got := inc.Solve(); got != want {
 				t.Fatalf("iter %d round %d: post-retirement solve = %v, want %v", iter, round, got, want)
 			}
-		}
-	}
-}
-
-// TestSATDiffLegacyOracle runs the frozen pre-modernization solver
-// (internal/sat/satlegacy) as a second, independently implemented
-// oracle: legacy and modern must agree with brute force on every
-// instance. The configurations above all share the modern propagation
-// core, so a bug baked into it would pass them unanimously; the legacy
-// engine has its own clause representation, watcher scheme and DB policy
-// and fails independently.
-func TestSATDiffLegacyOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for iter := 0; iter < 300; iter++ {
-		nVars := 3 + rng.Intn(10)
-		nClauses := 2 + rng.Intn(40)
-		clauses := randCNF(rng, nVars, nClauses)
-		want := Unsat
-		if bruteForceSat(nVars, clauses) {
-			want = Sat
-		}
-		s := buildSolver(nVars, clauses)
-		if got := s.Solve(); got != want {
-			t.Fatalf("iter %d: modern Solve() = %v, oracle says %v", iter, got, want)
-		}
-		ls := satlegacy.New()
-		for i := 0; i < nVars; i++ {
-			ls.NewVar()
-		}
-		for _, cl := range clauses {
-			lits := make([]satlegacy.Lit, len(cl))
-			for j, l := range cl {
-				if l.Sign() {
-					lits[j] = satlegacy.NegLit(l.Var())
-				} else {
-					lits[j] = satlegacy.PosLit(l.Var())
-				}
-			}
-			ls.AddClause(lits...)
-		}
-		if got := ls.Solve(); got.String() != want.String() {
-			t.Fatalf("iter %d: legacy Solve() = %v, oracle says %v", iter, got, want)
 		}
 	}
 }

@@ -177,9 +177,7 @@ func (s *Solver) Clone() *Solver {
 		claInc:      s.claInc,
 		claDecay:    s.claDecay,
 		ok:          s.ok,
-		maxLearnt:   s.maxLearnt,
 		rng:         rand.New(rand.NewSource(1)),
-		DB:          s.DB,
 		ReduceFirst: s.ReduceFirst,
 		elimValue:   append([]bool(nil), s.elimValue...),
 		RandomFreq:  s.RandomFreq,

@@ -226,20 +226,14 @@ type Solver struct {
 	claInc   float64
 	claDecay float64
 
-	ok        bool    // false once a top-level conflict is found
-	maxLearnt float64 // adaptive learned-clause cap (DBActivity policy)
-	rng       *rand.Rand
+	ok  bool // false once a top-level conflict is found
+	rng *rand.Rand
 
-	// DB selects the learned-clause management policy. The default,
-	// DBGlue, is the modern LBD-based policy; DBActivity is the previous
-	// activity-halving policy, kept as the differential-testing and
-	// benchmarking baseline. Set before the first Solve.
-	DB ClauseDB
-	// ReduceFirst is the conflict count before the first DB reduction
-	// under DBGlue (default 2000); each reduction then grows the interval
+	// ReduceFirst is the conflict count before the first learned-clause
+	// DB reduction (default 2000); each reduction then grows the interval
 	// geometrically. Tests lower it to exercise the reduction path.
 	ReduceFirst int64
-	// reduceInterval and nextReduce drive the geometric DBGlue schedule.
+	// reduceInterval and nextReduce drive the geometric reduction schedule.
 	reduceInterval int64
 	nextReduce     int64
 
@@ -301,23 +295,6 @@ type Solver struct {
 	// assumption-level Unsat (see FailedAssumptions).
 	failed []Lit
 }
-
-// ClauseDB selects a learned-clause management policy.
-type ClauseDB int
-
-// Clause-management policies.
-const (
-	// DBGlue (the default) computes the literal block distance of every
-	// learned clause, protects the glue tier (LBD ≤ 2) and binary clauses
-	// forever, and aggressively halves the remainder — worst LBD first —
-	// on a geometrically growing conflict schedule.
-	DBGlue ClauseDB = iota
-	// DBActivity is the pre-LBD policy: drop the less active half
-	// whenever the DB outgrows an adaptive cap. It is retained as the
-	// baseline the differential harness and scripts/satbench compare
-	// DBGlue against.
-	DBActivity
-)
 
 // New returns an empty solver.
 func New() *Solver {
@@ -1078,20 +1055,9 @@ func (s *Solver) pickBranchVar() int {
 	return -1
 }
 
-// maybeReduceDB triggers learned-clause DB reduction per the selected
-// policy: DBGlue reduces on a geometrically growing conflict schedule,
-// DBActivity when the DB outgrows its adaptive size cap.
+// maybeReduceDB triggers learned-clause DB reduction on a geometrically
+// growing conflict schedule.
 func (s *Solver) maybeReduceDB() {
-	if s.DB == DBActivity {
-		if s.maxLearnt == 0 {
-			s.maxLearnt = float64(max(2000, len(s.clauses)/3))
-		}
-		if float64(len(s.learnts)) > s.maxLearnt {
-			s.reduceDBActivity()
-			s.maxLearnt *= 1.1
-		}
-		return
-	}
 	if s.nextReduce == 0 {
 		s.reduceInterval = max(s.ReduceFirst, 1)
 		s.nextReduce = s.Stats.Conflicts + s.reduceInterval
@@ -1139,31 +1105,6 @@ func (s *Solver) reduceDBGlue() {
 		return s.clsAct(cands[i]) < s.clsAct(cands[j])
 	})
 	s.dropLearnts(cands[:len(cands)/2])
-}
-
-// reduceDBActivity is the DBActivity policy: remove the less active half
-// of the learned clauses (keeping reason clauses of the current trail).
-func (s *Solver) reduceDBActivity() {
-	if f := chaosAt(siteReduce); f != 0 && s.chaosReduce(f) {
-		return
-	}
-	s.Stats.Reductions++
-	locked := map[cref]bool{}
-	for _, l := range s.trail {
-		if r := s.vars[l.Var()].reason; r != crefUndef {
-			locked[r] = true
-		}
-	}
-	sorted := make([]cref, len(s.learnts))
-	copy(sorted, s.learnts)
-	sort.Slice(sorted, func(i, j int) bool { return s.clsAct(sorted[i]) < s.clsAct(sorted[j]) })
-	var drop []cref
-	for _, c := range sorted[:len(sorted)/2] {
-		if !locked[c] && s.clsSize(c) > 2 {
-			drop = append(drop, c)
-		}
-	}
-	s.dropLearnts(drop)
 }
 
 // dropLearnts removes the given learned clauses and rebuilds the watch

@@ -2,6 +2,7 @@ package session
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -135,17 +136,23 @@ func TestSessionDifferentialStrategies(t *testing.T) {
 // TestSessionMeasuredReplayAgrees pins the in-process replay measurement
 // (Config.MeasureReplay) to the external reference computation: the work
 // it charges for the fresh path must match what freshVerdicts' pipeline
-// actually does, so BENCH_7's saving ratios rest on honest numbers.
+// actually does, so the session tier's saving ratio rests on honest
+// numbers. It also gates that ratio: per script Σreplay/Σwork, whose
+// geometric mean over the corpus must stay at least 1.3x. Work units are
+// deterministic, so the ratio (1.762x when the gate was set) is exact.
 func TestSessionMeasuredReplayAgrees(t *testing.T) {
 	ctx := context.Background()
 	cfg := testConfig()
 	cfg.MeasureReplay = true
-	for name, src := range corpusScripts(t) {
+	scripts := corpusScripts(t)
+	var logSum float64
+	for name, src := range scripts {
 		s := New(cfg)
 		outs, err := s.Exec(ctx, src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		var work, replay int64
 		for i, o := range outs {
 			if o.Kind != OutVerdict {
 				continue
@@ -156,7 +163,18 @@ func TestSessionMeasuredReplayAgrees(t *testing.T) {
 			if o.Check.ReplayWork <= 0 {
 				t.Errorf("%s check %d: no replay work measured", name, i)
 			}
+			work += o.Check.Work
+			replay += o.Check.ReplayWork
 		}
 		s.Close()
+		if work <= 0 {
+			t.Fatalf("%s: no session work measured", name)
+		}
+		logSum += math.Log(float64(replay) / float64(work))
 	}
+	geomean := math.Exp(logSum / float64(len(scripts)))
+	if geomean < 1.3 {
+		t.Errorf("geomean saved ratio %.3f below the 1.3x gate", geomean)
+	}
+	t.Logf("geomean saved ratio %.3fx over %d scripts", geomean, len(scripts))
 }

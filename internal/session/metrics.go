@@ -40,25 +40,6 @@ func RegisterSessionMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("staub_session_state_drops_total", metrics.Labels{"reason": "lru"}, &sessDropLRU)
 }
 
-// MetricsSnapshot reports the current session-core counter values for
-// CLI and benchmark summaries.
-func MetricsSnapshot() map[string]int64 {
-	return map[string]int64{
-		"checks":       sessChecks.Value(),
-		"check_work":   sessCheckWork.Value(),
-		"replay_work":  sessReplayWork.Value(),
-		"saved_work":   sessSavedWork.Value(),
-		"rebuilds":     sessRebuilds.Value(),
-		"fallbacks":    sessFallbacks.Value(),
-		"model_reuses": sessModelReuses.Value(),
-		"memo_hits":    sessMemoHits.Value(),
-		"drops_budget": sessDropBudget.Value(),
-		"drops_chaos":  sessDropChaos.Value(),
-		"drops_fault":  sessDropFault.Value(),
-		"drops_lru":    sessDropLRU.Value(),
-	}
-}
-
 func dropCounter(reason string) *metrics.Counter {
 	switch reason {
 	case "budget":

@@ -1,8 +1,9 @@
 // Command cubebench measures what cube-and-conquer buys over the
-// sequential bounded solve. It writes BENCH_8.json (at the repository
-// root via `make bench`) comparing, per corpus row, the sequential
-// solver's deterministic work against the cube race's virtual makespan
-// at 8 workers — the cost the deterministic driver charges as wall time.
+// sequential bounded solve. Run from the repository root as
+// `go run ./scripts/cubebench`, it writes BENCH_8.json comparing, per
+// corpus row, the sequential solver's deterministic work against the
+// cube race's virtual makespan at 8 workers — the cost the deterministic
+// driver charges as wall time.
 //
 // Both legs solve the identical bounded constraint under the identical
 // work budget; the sequential leg is the exact code path the bounded
@@ -40,7 +41,7 @@ import (
 )
 
 // workBudget is the deterministic per-solve budget in work units
-// (1M units = 40M propagations, satbench's cap).
+// (1M units = 40M propagations).
 const workBudget = 1_000_000
 
 // reduceFirst mirrors the solver's first clause-DB reduction point; a
@@ -50,9 +51,9 @@ const reduceFirst = 2000
 // cubeVars is the benchmarked split: 2^3 = 8 cubes, one per worker.
 const cubeVars = 3
 
-// corpusRows lists the benchmarked (instance, width) pairs — the same
-// int→BV slice of the refinement corpus satbench measures, so the two
-// benchmarks speak about the same search problems.
+// corpusRows lists the benchmarked (instance, width) pairs — the int→BV
+// slice of the refinement corpus BENCH_6.json measured the CDCL core on,
+// so the two reports speak about the same search problems.
 var corpusRows = []struct {
 	Name  string
 	Width int
