@@ -88,7 +88,11 @@ func main() {
 		fmt.Println(buildinfo.String("staub"))
 		return
 	}
-	if flag.NArg() < 1 {
+	prof, err := solver.ParseProfile(*profile)
+	if err != nil || flag.NArg() < 1 {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "staub:", err)
+		}
 		fmt.Fprintln(os.Stderr, "usage: staub [flags] constraint.smt2 [more.smt2 ...]")
 		flag.PrintDefaults()
 		os.Exit(2)
@@ -96,10 +100,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	prof := solver.Prima
-	if *profile == "secunda" {
-		prof = solver.Secunda
-	}
 	cfg := core.Config{
 		Timeout:      *timeout,
 		FixedWidth:   *width,

@@ -13,7 +13,6 @@ package core
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,7 +28,6 @@ import (
 	_ "staub/internal/overapprox"
 	"staub/internal/pipeline"
 	"staub/internal/smt"
-	"staub/internal/solver"
 	"staub/internal/status"
 	"staub/internal/translate"
 )
@@ -115,19 +113,17 @@ type PortfolioResult struct {
 	// Status and Model are the combined verdict.
 	Status status.Status
 	Model  eval.Assignment
-	// FromSTAUB reports whether a STAUB leg produced the verdict (the
-	// sequential pipeline, or the cube leg — see FromCube).
+	// FromSTAUB reports whether a STAUB leg produced the verdict: the
+	// sequential pipeline, the cube leg or the over leg.
 	FromSTAUB bool
-	// FromCube reports that the cube-and-conquer leg produced the
-	// verdict (implies FromSTAUB).
-	FromCube bool
 	// FromOver reports that the over-approximation leg produced the
 	// verdict (implies FromSTAUB): either a sound unsat under an
 	// exact/over chain or a verified sat.
 	FromOver bool
 	// Elapsed is the wall-clock time of the race.
 	Elapsed time.Duration
-	// Pipeline carries the STAUB leg details.
+	// Pipeline carries the details of the STAUB leg that won, or of the
+	// sequential STAUB leg when the unbounded leg won or nobody decided.
 	Pipeline PipelineResult
 	// Degraded reports that the STAUB leg suffered a contained fault
 	// (panic, stall, watchdog or budget exhaustion) and the portfolio fell
@@ -172,17 +168,85 @@ func PortfolioMetricsSnapshot() map[string]int64 {
 	}
 }
 
+// leg is one row of the portfolio race.
+type leg struct {
+	name string
+	// run decides the constraint, stopping soon after its interrupt flag
+	// is raised. The unbounded leg fills only Status and Model.
+	run func(interrupt *atomic.Bool) PipelineResult
+	// wins reports whether a verdict of this leg is definitive for the
+	// original constraint, and so ends the race.
+	wins func(status.Status) bool
+}
+
+// The first two rows of every race.
+const (
+	legUnbounded = iota
+	legSequential
+)
+
+func decided(s status.Status) bool { return s != status.Unknown }
+func onlySat(s status.Status) bool { return s == status.Sat }
+
+// race runs every leg concurrently, each polling its own interrupt flag,
+// and returns the legs' results in table order with the index of the
+// winner (-1 when no leg decided): the first leg to return a verdict it
+// wins with. The winner raises every leg's flag. A leg that raises only
+// its own flag, as a pass watchdog or the work-budget ceiling does,
+// cancels no other leg — the unbounded leg's no-slowdown guarantee rests
+// on that. A panicking leg comes back as an unknown result with
+// Fault == pipeline.FaultPanic and the race goes on without it.
+func race(legs []leg) ([]PipelineResult, int) {
+	flags := make([]atomic.Bool, len(legs))
+	results := make([]PipelineResult, len(legs))
+	done := make(chan int, len(legs))
+	for i := range legs {
+		go func() {
+			defer func() {
+				// Pass panics are contained inside the pipeline; this
+				// boundary catches panics from the layers around it.
+				if r := recover(); r != nil {
+					portfolioPanics.Inc()
+					results[i] = PipelineResult{Outcome: OutcomeError, Status: status.Unknown, Fault: pipeline.FaultPanic}
+				}
+				done <- i
+			}()
+			results[i] = legs[i].run(&flags[i])
+		}()
+	}
+	winner := -1
+	var decidedAt time.Time
+	for range legs {
+		i := <-done
+		if winner < 0 && legs[i].wins(results[i].Status) {
+			winner, decidedAt = i, time.Now()
+			for j := range flags {
+				flags[j].Store(true)
+			}
+		}
+	}
+	if winner >= 0 {
+		portfolioCancel.Observe(time.Since(decidedAt))
+	}
+	return results, winner
+}
+
 // RunPortfolio races the original constraint (unbounded solver) against
 // the STAUB pipeline, following the paper's portfolio methodology [68]:
 // the first definitive answer wins and cancels the other legs.
-// Cancelling the context aborts every leg. With Config.CubeVars set a
-// third leg joins the race — the STAUB pipeline with its bounded solve
-// replaced by cube-and-conquer — next to the sequential pipeline, so
-// cubing can only add a way to win, never slow the baseline race down.
-// With Config.OverApprox set, an over-approximation leg joins too: it
-// linearizes nonlinear multiplication and certifies a-priori bounds so
-// that its bounded-unsat is a sound unsat — the only leg besides the
-// unbounded solver that can ever win with an unsat verdict.
+// Cancelling the context aborts every leg. Each leg is one row of a
+// table:
+//
+//   - unbounded: the unmodified solver on the original; wins with any
+//     definitive verdict;
+//   - sequential STAUB: the pipeline without cubing or
+//     over-approximation; wins only with a verified sat;
+//   - cube, with Config.CubeVars set: the pipeline with its bounded solve
+//     replaced by cube-and-conquer; wins only with a verified sat, so
+//     cubing can only add a way to win;
+//   - over, with Config.OverApprox set: linearized nonlinear
+//     multiplication and certified a-priori bounds, so that its
+//     bounded-unsat is a sound unsat; wins with any definitive verdict.
 //
 // Every leg runs behind a panic-isolation boundary: a leg that panics,
 // stalls into its watchdog or exhausts its budget yields no definitive
@@ -193,164 +257,45 @@ func RunPortfolio(ctx context.Context, c *smt.Constraint, cfg Config) PortfolioR
 	start := time.Now()
 	portfolioRuns.Inc()
 
-	var cancelOrig, cancelStaub, cancelCube, cancelOver atomic.Bool
-	cancelAll := func() {
-		cancelOrig.Store(true)
-		cancelStaub.Store(true)
-		cancelCube.Store(true)
-		cancelOver.Store(true)
+	staub := func(legCfg Config) func(*atomic.Bool) PipelineResult {
+		return func(interrupt *atomic.Bool) PipelineResult { return RunPipeline(ctx, c, legCfg, interrupt) }
 	}
-	type leg struct {
-		fromStaub bool
-		fromCube  bool
-		fromOver  bool
-		status    status.Status
-		model     eval.Assignment
-		pipeline  PipelineResult
-		ok        bool // definitive answer
-	}
-	legs := 2
-	if cfg.CubeVars > 0 {
-		legs++
-	}
-	if cfg.OverApprox {
-		legs++
-	}
-	results := make(chan leg, legs)
-	var wg sync.WaitGroup
-	wg.Add(legs)
-
-	origDeadline := time.Now().Add(cfg.Timeout)
-	origOpts := solver.Options{
-		Ctx:       ctx,
-		Deadline:  origDeadline,
-		Interrupt: &cancelOrig,
-		Profile:   cfg.Profile,
-		Seed:      cfg.Seed,
-	}
-	if cfg.Deterministic {
-		origOpts.Deadline = pipeline.BackstopDeadline(cfg.Timeout)
-		origOpts.WorkBudget = solver.WorkBudgetFor(cfg.Timeout)
-	}
-	go func() {
-		defer wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				portfolioPanics.Inc()
-				results <- leg{status: status.Unknown}
-			}
-		}()
-		r := solver.Solve(c, origOpts)
-		results <- leg{status: r.Status, model: r.Model, ok: r.Status != status.Unknown}
-	}()
 	// The sequential STAUB leg always runs without cubing or
-	// over-approximation; when those are requested they are extra legs'
-	// jobs, and racing all of them preserves the two-leg baseline
-	// behavior exactly.
-	seqCfg := cfg
-	seqCfg.CubeVars = 0
-	seqCfg.OverApprox = false
-	go func() {
-		defer wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				// Pass panics are contained inside the pipeline; this
-				// boundary catches panics from the driver layers around it,
-				// so the race still gets a (faulted) STAUB leg.
-				portfolioPanics.Inc()
-				results <- leg{fromStaub: true, status: status.Unknown, pipeline: PipelineResult{
-					Outcome: OutcomeError,
-					Status:  status.Unknown,
-					Fault:   pipeline.FaultPanic,
-				}}
-			}
-		}()
-		p := RunPipeline(ctx, c, seqCfg, &cancelStaub)
-		// Only a verified sat is definitive for the original constraint.
-		results <- leg{fromStaub: true, status: p.Status, model: p.Model, pipeline: p, ok: p.Status == status.Sat}
-	}()
+	// over-approximation, so racing the extra legs preserves the two-leg
+	// baseline behavior exactly.
+	seq, cube, over := cfg, cfg, cfg
+	seq.CubeVars, seq.OverApprox = 0, false
+	cube.OverApprox = false
+	over.CubeVars = 0
+	legs := []leg{
+		legUnbounded: {"unbounded", func(interrupt *atomic.Bool) PipelineResult {
+			r := pipeline.SolveOriginal(ctx, c, cfg, interrupt)
+			return PipelineResult{Status: r.Status, Model: r.Model}
+		}, decided},
+		legSequential: {"staub", staub(seq), onlySat},
+	}
 	if cfg.CubeVars > 0 {
-		cubeCfg := cfg
-		cubeCfg.OverApprox = false
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					portfolioPanics.Inc()
-					results <- leg{fromStaub: true, fromCube: true, status: status.Unknown, pipeline: PipelineResult{
-						Outcome: OutcomeError,
-						Status:  status.Unknown,
-						Fault:   pipeline.FaultPanic,
-					}}
-				}
-			}()
-			p := RunPipeline(ctx, c, cubeCfg, &cancelCube)
-			results <- leg{fromStaub: true, fromCube: true, status: p.Status, model: p.Model, pipeline: p, ok: p.Status == status.Sat}
-		}()
+		legs = append(legs, leg{"cube", staub(cube), onlySat})
 	}
 	if cfg.OverApprox {
-		overCfg := cfg
-		overCfg.CubeVars = 0
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					portfolioPanics.Inc()
-					results <- leg{fromStaub: true, fromOver: true, status: status.Unknown, pipeline: PipelineResult{
-						Outcome: OutcomeError,
-						Status:  status.Unknown,
-						Fault:   pipeline.FaultPanic,
-					}}
-				}
-			}()
-			p := RunPipeline(ctx, c, overCfg, &cancelOver)
-			// Unlike the under-approximating legs, a sound unsat is also
-			// definitive here: the direction lattice already vetted it.
-			results <- leg{fromStaub: true, fromOver: true, status: p.Status, model: p.Model, pipeline: p, ok: p.Status != status.Unknown}
-		}()
+		legs = append(legs, leg{"over", staub(over), decided})
 	}
 
-	var out PortfolioResult
-	var seqPipe, cubePipe, overPipe PipelineResult
-	var decidedAt time.Time
-	out.Status = status.Unknown
-	for i := 0; i < legs; i++ {
-		l := <-results
-		switch {
-		case l.fromCube:
-			cubePipe = l.pipeline
-		case l.fromOver:
-			overPipe = l.pipeline
-		case l.fromStaub:
-			seqPipe = l.pipeline
+	results, winner := race(legs)
+	out := PortfolioResult{Status: status.Unknown, Pipeline: results[legSequential]}
+	if winner >= 0 {
+		out.Status, out.Model = results[winner].Status, results[winner].Model
+		out.FromSTAUB = winner != legUnbounded
+		out.FromOver = legs[winner].name == "over"
+		if out.FromSTAUB {
+			out.Pipeline = results[winner]
 		}
-		if l.ok && out.Status == status.Unknown {
-			out.Status = l.status
-			out.Model = l.model
-			out.FromSTAUB = l.fromStaub
-			out.FromCube = l.fromCube
-			out.FromOver = l.fromOver
-			// Cancel the other legs.
-			decidedAt = time.Now()
-			cancelAll()
-		}
-	}
-	if !decidedAt.IsZero() {
-		portfolioCancel.Observe(time.Since(decidedAt))
-	}
-	wg.Wait()
-	out.Pipeline = seqPipe
-	switch {
-	case out.FromCube:
-		out.Pipeline = cubePipe
-	case out.FromOver:
-		out.Pipeline = overPipe
 	}
 	out.Elapsed = time.Since(start)
 	// A faulted sequential STAUB leg means the verdict (definitive or
 	// not) came from outside it: the no-slowdown contract degraded but
 	// held.
-	if seqPipe.Fault != "" && !out.FromSTAUB {
+	if out.Pipeline.Fault != "" && !out.FromSTAUB {
 		out.Degraded = true
 		portfolioDegraded.Inc()
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"staub/internal/benchgen"
+	"staub/internal/pipeline"
 	"staub/internal/smt"
 	"staub/internal/solver"
 	"staub/internal/status"
@@ -368,12 +369,7 @@ func TestPipelineSpeedsUpHardNonlinear(t *testing.T) {
 	}
 	// Give the unbounded leg the same deterministic accounting so the
 	// comparison is machine-independent.
-	orig := solver.Solve(c, solver.Options{
-		Ctx:        context.Background(),
-		Deadline:   time.Now().Add(time.Hour),
-		WorkBudget: solver.WorkBudgetFor(budget),
-		Profile:    solver.Prima,
-	})
+	orig := pipeline.SolveOriginal(context.Background(), c, Config{Timeout: budget, Deterministic: true}, nil)
 	if orig.Status == status.Unknown {
 		t.Logf("arbitrage win: original timed out within %v; STAUB finished in %v", budget, pipe.Total)
 		return

@@ -25,12 +25,12 @@ import (
 func (j Job) Key() string {
 	h := sha256.New()
 	io.WriteString(h, j.Constraint.Script())
+	c := j.Config
 	switch j.Kind {
 	case KindSolve:
 		fmt.Fprintf(h, "|solve|p=%d|t=%d|s=%d|det=%t",
-			j.Profile, j.Timeout, j.Seed, j.Deterministic)
+			c.Profile, c.Timeout, c.Seed, c.Deterministic)
 	default:
-		c := j.Config
 		fmt.Fprintf(h, "|kind=%d|w=%d|t=%d|p=%d|slot=%t|hints=%t|refine=%d|fresh=%t|s=%d|det=%t|lim=%d,%d,%d,%d|trace=%t|sw=%d|ws=%d|cv=%d|cj=%d|cl=%d|over=%t|passes=%s",
 			j.Kind, c.FixedWidth, c.Timeout, c.Profile, c.UseSLOT, c.RangeHints,
 			c.RefineRounds, c.FreshRefine, c.Seed, c.Deterministic,

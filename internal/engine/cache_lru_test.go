@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"staub/internal/core"
 	"staub/internal/smt"
 	"staub/internal/solver"
 )
@@ -183,7 +184,7 @@ func TestCacheRemoteTierConsulted(t *testing.T) {
 
 	for _, inst := range poolOffCorpus {
 		job := Job{Kind: KindSolve, Constraint: parseC(t, inst.src),
-			Profile: solver.Prima, Timeout: 1500 * time.Millisecond, Deterministic: true}
+			Config: core.Config{Profile: solver.Prima, Timeout: 1500 * time.Millisecond, Deterministic: true}}
 		// Fresh engines, so neither side sees the other's cache.
 		pooled := New(1, NewCache()).Solve(context.Background(), job).Solve
 		local := New(1, NewCache()).SolveLocal(context.Background(), job).Solve

@@ -45,13 +45,8 @@ const (
 type Job struct {
 	Kind       Kind
 	Constraint *smt.Constraint
-	// Profile, Timeout, Seed and Deterministic configure KindSolve jobs;
-	// pipeline and portfolio jobs take them from Config instead.
-	Profile       solver.Profile
-	Timeout       time.Duration
-	Seed          int64
-	Deterministic bool
-	// Config drives KindPipeline and KindPortfolio jobs.
+	// Config carries the job's settings. KindSolve jobs read only its
+	// Profile, Timeout, Seed and Deterministic.
 	Config core.Config
 }
 
@@ -77,13 +72,7 @@ type Result struct {
 
 // timeout returns the job's effective time budget.
 func (j Job) timeout() time.Duration {
-	if j.Kind == KindSolve {
-		return j.Timeout
-	}
-	if j.Config.Timeout > 0 {
-		return j.Config.Timeout
-	}
-	return 2 * time.Second // core.Config's default
+	return j.Config.WithDefaults().Timeout
 }
 
 // ExecuteJob runs a single job to completion with no pool and no cache —
@@ -120,14 +109,7 @@ func ExecuteJob(ctx context.Context, j Job) (res Result) {
 	case KindPortfolio:
 		return Result{Portfolio: core.RunPortfolio(ctx, j.Constraint, j.Config)}
 	default:
-		opts := solver.Options{Ctx: ctx, Profile: j.Profile, Seed: j.Seed}
-		if j.Deterministic {
-			opts.WorkBudget = solver.WorkBudgetFor(j.Timeout)
-			opts.Deadline = pipeline.BackstopDeadline(j.Timeout)
-		} else {
-			opts.Deadline = time.Now().Add(j.Timeout)
-		}
-		return Result{Solve: solver.Solve(j.Constraint, opts)}
+		return Result{Solve: pipeline.SolveOriginal(ctx, j.Constraint, j.Config, nil)}
 	}
 }
 

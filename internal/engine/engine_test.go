@@ -35,11 +35,13 @@ func niaJobs(t *testing.T, n int, timeout time.Duration) []engine.Job {
 	jobs := make([]engine.Job, 0, 2*len(insts))
 	for _, inst := range insts {
 		jobs = append(jobs, engine.Job{
-			Kind:          engine.KindSolve,
-			Constraint:    inst.Constraint,
-			Profile:       solver.Prima,
-			Timeout:       timeout,
-			Deterministic: true,
+			Kind:       engine.KindSolve,
+			Constraint: inst.Constraint,
+			Config: core.Config{
+				Profile:       solver.Prima,
+				Timeout:       timeout,
+				Deterministic: true,
+			},
 		})
 		jobs = append(jobs, engine.Job{
 			Kind:       engine.KindPipeline,
@@ -136,10 +138,10 @@ func TestCacheKeyDistinguishesConfig(t *testing.T) {
 		Config: core.Config{Timeout: 50 * time.Millisecond, Deterministic: true}}
 	variants := []engine.Job{
 		base,
-		{Kind: engine.KindSolve, Constraint: c, Profile: solver.Prima,
-			Timeout: 50 * time.Millisecond, Deterministic: true},
-		{Kind: engine.KindSolve, Constraint: c, Profile: solver.Secunda,
-			Timeout: 50 * time.Millisecond, Deterministic: true},
+		{Kind: engine.KindSolve, Constraint: c, Config: core.Config{Profile: solver.Prima,
+			Timeout: 50 * time.Millisecond, Deterministic: true}},
+		{Kind: engine.KindSolve, Constraint: c, Config: core.Config{Profile: solver.Secunda,
+			Timeout: 50 * time.Millisecond, Deterministic: true}},
 	}
 	widened := base
 	widened.Config.FixedWidth = 8

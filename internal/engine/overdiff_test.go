@@ -57,7 +57,7 @@ func TestOverApproxDifferential(t *testing.T) {
 		}
 		oracle := engine.ExecuteJob(ctx, engine.Job{
 			Kind: engine.KindSolve, Constraint: jobs[i].Constraint,
-			Profile: solver.Prima, Timeout: 5 * time.Second, Deterministic: true,
+			Config: core.Config{Profile: solver.Prima, Timeout: 5 * time.Second, Deterministic: true},
 		})
 		switch p.Status {
 		case status.Unsat:
@@ -170,7 +170,7 @@ func TestOverApproxRefutations(t *testing.T) {
 			t.Fatalf("%s: %v", inst.name, err)
 		}
 		oracle := engine.ExecuteJob(ctx, engine.Job{Kind: engine.KindSolve, Constraint: c,
-			Profile: solver.Prima, Timeout: timeout, Deterministic: true}).Solve
+			Config: core.Config{Profile: solver.Prima, Timeout: timeout, Deterministic: true}}).Solve
 		oracleCost := timeout
 		if oracle.Status != status.Unknown {
 			oracleCost = min(solver.VirtualDuration(oracle.Work), timeout)

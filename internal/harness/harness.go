@@ -248,11 +248,13 @@ func buildPlan(o Options) (*plan, error) {
 					modes: map[Mode]int{},
 				}
 				p.jobs = append(p.jobs, engine.Job{
-					Kind:          engine.KindSolve,
-					Constraint:    inst.Constraint,
-					Profile:       profile,
-					Timeout:       o.Timeout,
-					Deterministic: true,
+					Kind:       engine.KindSolve,
+					Constraint: inst.Constraint,
+					Config: core.Config{
+						Profile:       profile,
+						Timeout:       o.Timeout,
+						Deterministic: true,
+					},
 				})
 				for _, m := range o.Modes {
 					e.modes[m] = len(p.jobs)

@@ -376,11 +376,13 @@ func Figure2(ctx context.Context, o Options, widths []int) ([]Figure2Point, erro
 		for _, inst := range insts {
 			lp.oracle = append(lp.oracle, len(jobs))
 			jobs = append(jobs, engine.Job{
-				Kind:          engine.KindSolve,
-				Constraint:    inst.Constraint,
-				Profile:       solver.Prima,
-				Timeout:       o.Timeout,
-				Deterministic: true,
+				Kind:       engine.KindSolve,
+				Constraint: inst.Constraint,
+				Config: core.Config{
+					Profile:       solver.Prima,
+					Timeout:       o.Timeout,
+					Deterministic: true,
+				},
 			})
 		}
 		for _, width := range widths {

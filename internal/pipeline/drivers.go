@@ -105,6 +105,28 @@ func BackstopDeadline(timeout time.Duration) time.Time {
 	return time.Now().Add(backstop)
 }
 
+// SolveOriginal decides c with the unbounded solver under cfg's budget
+// regime (Timeout, Profile, Seed and Deterministic; defaults applied): a
+// deterministic run spends the work budget Timeout buys, with the clock
+// only as backstop, and any other run gets Timeout as its wall-clock
+// deadline. It is the portfolio's unbounded leg, the engine's solve job
+// and the session's fallback. The optional interrupt aborts the solve.
+func SolveOriginal(ctx context.Context, c *smt.Constraint, cfg Config, interrupt *atomic.Bool) solver.Result {
+	cfg = cfg.WithDefaults()
+	opts := solver.Options{
+		Ctx:       ctx,
+		Deadline:  time.Now().Add(cfg.Timeout),
+		Interrupt: interrupt,
+		Profile:   cfg.Profile,
+		Seed:      cfg.Seed,
+	}
+	if cfg.Deterministic {
+		opts.Deadline = BackstopDeadline(cfg.Timeout)
+		opts.WorkBudget = solver.WorkBudgetFor(cfg.Timeout)
+	}
+	return solver.Solve(c, opts)
+}
+
 // Run executes the STAUB pipeline on c: transform, solve bounded, verify.
 // The context cancels the run early; the optional interrupt aborts the
 // bounded solve (used by the portfolio). With Config.RefineRounds set, a

@@ -102,7 +102,7 @@ type Config struct {
 	// verify-model): nonlinear products are abstracted away with eager
 	// axiom instantiation and widths are certified complete from a-priori
 	// bounds, so a bounded-unsat outcome is a sound unsat for the
-	// original. The portfolio races it as a fourth leg when set.
+	// original. The portfolio races it as its over leg when set.
 	// FixedWidth, RefineRounds and CubeVars do not apply to this
 	// assembly: a fixed or narrowed width would break the completeness
 	// certificate the sound unsat rests on.

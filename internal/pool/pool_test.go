@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"staub/internal/chaos"
+	"staub/internal/core"
 	"staub/internal/engine"
 	"staub/internal/eval"
 	"staub/internal/solver"
@@ -65,7 +66,7 @@ func localStub(calls *atomic.Int64) func(context.Context) (engine.Result, bool) 
 
 func solveJob(t *testing.T) engine.Job {
 	t.Helper()
-	return engine.Job{Kind: engine.KindSolve, Constraint: mustParse(t, wireNIA), Timeout: time.Second}
+	return engine.Job{Kind: engine.KindSolve, Constraint: mustParse(t, wireNIA), Config: core.Config{Timeout: time.Second}}
 }
 
 // TestPoolSelfOwnedSolvesLocally: a key this node owns never leaves the

@@ -27,8 +27,8 @@ import (
 // SchemaVersion is the peer wire schema. A peer answering with a
 // different version is treated as unreachable (the client falls back to
 // a local solve), which makes mixed-version pools safe during rolling
-// restarts.
-const SchemaVersion = 1
+// restarts. Schema 2 ships the job's core.Config whole.
+const SchemaVersion = 2
 
 // WireJob is the body of POST /v1/peer/solve.
 type WireJob struct {
@@ -37,39 +37,12 @@ type WireJob struct {
 	// recomputes the key from the decoded job and rejects a mismatch, so
 	// a serialization defect can never serve one constraint's verdict
 	// under another's address.
-	Key        string      `json:"key"`
-	Kind       int         `json:"kind"`
-	Constraint string      `json:"constraint"`
-	Profile    int         `json:"profile,omitempty"`
-	TimeoutNS  int64       `json:"timeout_ns,omitempty"`
-	Seed       int64       `json:"seed,omitempty"`
-	Determin   bool        `json:"deterministic,omitempty"`
-	Config     *WireConfig `json:"config,omitempty"`
-}
-
-// WireConfig carries every core.Config field the engine cache key
-// hashes, so the peer rebuilds a job with the identical content address.
-type WireConfig struct {
-	MinWidth     int   `json:"min_width,omitempty"`
-	MaxWidth     int   `json:"max_width,omitempty"`
-	MaxSig       int   `json:"max_sig,omitempty"`
-	MaxPrec      int   `json:"max_prec,omitempty"`
-	FixedWidth   int   `json:"fixed_width,omitempty"`
-	TimeoutNS    int64 `json:"timeout_ns,omitempty"`
-	Profile      int   `json:"profile,omitempty"`
-	UseSLOT      bool  `json:"slot,omitempty"`
-	RangeHints   bool  `json:"range_hints,omitempty"`
-	RefineRounds int   `json:"refine_rounds,omitempty"`
-	FreshRefine  bool  `json:"fresh_refine,omitempty"`
-	StartWidth   int   `json:"start_width,omitempty"`
-	WidthStep    int   `json:"width_step,omitempty"`
-	Seed         int64 `json:"seed,omitempty"`
-	Determin     bool  `json:"deterministic,omitempty"`
-	Trace        bool  `json:"trace,omitempty"`
-	CubeVars     int   `json:"cube_vars,omitempty"`
-	CubeJobs     int   `json:"cube_jobs,omitempty"`
-	CubeShareLBD int   `json:"cube_share_lbd,omitempty"`
-	OverApprox   bool  `json:"over,omitempty"`
+	Key        string `json:"key"`
+	Kind       int    `json:"kind"`
+	Constraint string `json:"constraint"`
+	// Config travels in its default JSON form, so every field the cache
+	// key hashes reaches the peer without a hand-kept copy of the list.
+	Config core.Config `json:"config"`
 }
 
 // WireResult is the peer's answer. Exactly one payload matches the
@@ -118,7 +91,6 @@ type WirePortfolio struct {
 	Status    int               `json:"status"`
 	Model     map[string]string `json:"model,omitempty"`
 	FromSTAUB bool              `json:"from_staub,omitempty"`
-	FromCube  bool              `json:"from_cube,omitempty"`
 	FromOver  bool              `json:"from_over,omitempty"`
 	ElapsedNS int64             `json:"elapsed_ns,omitempty"`
 	Pipeline  WirePipeline      `json:"pipeline"`
@@ -126,32 +98,13 @@ type WirePortfolio struct {
 
 // EncodeJob projects a job and its cache key onto the wire.
 func EncodeJob(key string, j engine.Job) WireJob {
-	w := WireJob{
+	return WireJob{
 		Schema:     SchemaVersion,
 		Key:        key,
 		Kind:       int(j.Kind),
 		Constraint: j.Constraint.Script(),
+		Config:     j.Config,
 	}
-	if j.Kind == engine.KindSolve {
-		w.Profile = int(j.Profile)
-		w.TimeoutNS = int64(j.Timeout)
-		w.Seed = j.Seed
-		w.Determin = j.Deterministic
-		return w
-	}
-	c := j.Config
-	w.Config = &WireConfig{
-		MinWidth: c.Limits.MinWidth, MaxWidth: c.Limits.MaxWidth,
-		MaxSig: c.Limits.MaxSig, MaxPrec: c.Limits.MaxPrec,
-		FixedWidth: c.FixedWidth, TimeoutNS: int64(c.Timeout),
-		Profile: int(c.Profile), UseSLOT: c.UseSLOT, RangeHints: c.RangeHints,
-		RefineRounds: c.RefineRounds, FreshRefine: c.FreshRefine,
-		StartWidth: c.StartWidth, WidthStep: c.WidthStep,
-		Seed: c.Seed, Determin: c.Deterministic, Trace: c.Trace,
-		CubeVars: c.CubeVars, CubeJobs: c.CubeJobs, CubeShareLBD: c.CubeShareLBD,
-		OverApprox: c.OverApprox,
-	}
-	return w
 }
 
 // DecodeJob rebuilds the engine job from the wire, parsing the
@@ -165,42 +118,14 @@ func DecodeJob(w WireJob) (engine.Job, error) {
 	if w.Kind < int(engine.KindSolve) || w.Kind > int(engine.KindPortfolio) {
 		return engine.Job{}, fmt.Errorf("pool: invalid job kind %d", w.Kind)
 	}
-	if w.Profile < 0 || w.Profile > int(solver.Secunda) {
-		return engine.Job{}, fmt.Errorf("pool: invalid profile %d", w.Profile)
+	if w.Config.Profile < solver.Prima || w.Config.Profile > solver.Secunda {
+		return engine.Job{}, fmt.Errorf("pool: invalid profile %d", w.Config.Profile)
 	}
 	c, err := smt.ParseScript(w.Constraint)
 	if err != nil {
 		return engine.Job{}, fmt.Errorf("pool: parsing peer constraint: %w", err)
 	}
-	j := engine.Job{Kind: engine.Kind(w.Kind), Constraint: c}
-	if j.Kind == engine.KindSolve {
-		j.Profile = solver.Profile(w.Profile)
-		j.Timeout = time.Duration(w.TimeoutNS)
-		j.Seed = w.Seed
-		j.Deterministic = w.Determin
-		return j, nil
-	}
-	wc := w.Config
-	if wc == nil {
-		return engine.Job{}, fmt.Errorf("pool: pipeline job without config")
-	}
-	if wc.Profile < 0 || wc.Profile > int(solver.Secunda) {
-		return engine.Job{}, fmt.Errorf("pool: invalid config profile %d", wc.Profile)
-	}
-	j.Config = core.Config{
-		FixedWidth: wc.FixedWidth, Timeout: time.Duration(wc.TimeoutNS),
-		Profile: solver.Profile(wc.Profile), UseSLOT: wc.UseSLOT,
-		RangeHints: wc.RangeHints, RefineRounds: wc.RefineRounds,
-		FreshRefine: wc.FreshRefine, StartWidth: wc.StartWidth,
-		WidthStep: wc.WidthStep, Seed: wc.Seed, Deterministic: wc.Determin,
-		Trace: wc.Trace, CubeVars: wc.CubeVars, CubeJobs: wc.CubeJobs,
-		CubeShareLBD: wc.CubeShareLBD, OverApprox: wc.OverApprox,
-	}
-	j.Config.Limits.MinWidth = wc.MinWidth
-	j.Config.Limits.MaxWidth = wc.MaxWidth
-	j.Config.Limits.MaxSig = wc.MaxSig
-	j.Config.Limits.MaxPrec = wc.MaxPrec
-	return j, nil
+	return engine.Job{Kind: engine.Kind(w.Kind), Constraint: c, Config: w.Config}, nil
 }
 
 // EncodeResult projects a clean engine result onto the wire. The caller
@@ -218,7 +143,7 @@ func EncodeResult(j engine.Job, res engine.Result) WireResult {
 		p := res.Portfolio
 		w.Portfolio = &WirePortfolio{
 			Status: int(p.Status), Model: modelStrings(p.Model),
-			FromSTAUB: p.FromSTAUB, FromCube: p.FromCube, FromOver: p.FromOver,
+			FromSTAUB: p.FromSTAUB, FromOver: p.FromOver,
 			ElapsedNS: int64(p.Elapsed), Pipeline: encodePipeline(p.Pipeline),
 		}
 	default:
@@ -286,8 +211,8 @@ func DecodeResult(j engine.Job, w WireResult) (engine.Result, error) {
 		}
 		return engine.Result{Portfolio: core.PortfolioResult{
 			Status: st, Model: m, FromSTAUB: w.Portfolio.FromSTAUB,
-			FromCube: w.Portfolio.FromCube, FromOver: w.Portfolio.FromOver,
-			Elapsed: time.Duration(w.Portfolio.ElapsedNS), Pipeline: pp,
+			FromOver: w.Portfolio.FromOver, Elapsed: time.Duration(w.Portfolio.ElapsedNS),
+			Pipeline: pp,
 		}}, nil
 	default:
 		if w.Pipeline == nil {

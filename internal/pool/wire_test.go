@@ -3,6 +3,7 @@ package pool
 import (
 	"encoding/json"
 	"math/big"
+	"reflect"
 	"testing"
 	"time"
 
@@ -40,19 +41,21 @@ func mustParse(t *testing.T, src string) *smt.Constraint {
 }
 
 // TestWireJobRoundTrip: a job survives encode → JSON → decode with an
-// identical cache key for every kind, which is the whole point of the
-// wire format — the peer must address the same cache entry.
+// identical cache key and an identical Config for every kind, which is
+// the whole point of the wire format — the peer must address the same
+// cache entry and run the same solve.
 func TestWireJobRoundTrip(t *testing.T) {
 	c := mustParse(t, wireNIA)
 	jobs := []engine.Job{
-		{Kind: engine.KindSolve, Constraint: c, Profile: solver.Secunda,
-			Timeout: 750 * time.Millisecond, Seed: 3, Deterministic: true},
+		{Kind: engine.KindSolve, Constraint: c, Config: core.Config{Profile: solver.Secunda,
+			Timeout: 750 * time.Millisecond, Seed: 3, Deterministic: true}},
 		{Kind: engine.KindPipeline, Constraint: c, Config: core.Config{
 			Timeout: time.Second, Profile: solver.Prima, UseSLOT: true,
 			RefineRounds: 2, Seed: 9, Deterministic: true, StartWidth: 4,
 			WidthStep: 2, CubeVars: 3, CubeJobs: 2, CubeShareLBD: 4, OverApprox: true}},
 		{Kind: engine.KindPortfolio, Constraint: c, Config: core.Config{
 			Timeout: 2 * time.Second, FixedWidth: 16, RangeHints: true, FreshRefine: true}},
+		{Kind: engine.KindPipeline, Constraint: c, Config: everyConfigField(t)},
 	}
 	for _, j := range jobs {
 		blob, err := json.Marshal(EncodeJob(j.Key(), j))
@@ -71,21 +74,53 @@ func TestWireJobRoundTrip(t *testing.T) {
 			t.Errorf("kind %d: decoded job key %s != original %s — the peer would reject or mis-cache",
 				j.Kind, got.Key()[:12], j.Key()[:12])
 		}
+		if !reflect.DeepEqual(got.Config, j.Config) {
+			t.Errorf("kind %d: decoded Config %+v != original %+v", j.Kind, got.Config, j.Config)
+		}
 	}
+}
+
+// everyConfigField returns a Config with every field, nested ones such as
+// absint.Limits included, set to a distinct non-zero value (the profile
+// to Secunda, the only valid non-zero one), so a field that stops
+// surviving JSON fails the round trip.
+func everyConfigField(t *testing.T) core.Config {
+	var cfg core.Config
+	n := int64(0)
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			n++
+			switch f.Kind() {
+			case reflect.Struct:
+				fill(f)
+			case reflect.Bool:
+				f.SetBool(true)
+			case reflect.Int, reflect.Int64:
+				f.SetInt(n)
+			default:
+				t.Fatalf("Config field %s is a %v; extend everyConfigField", v.Type().Field(i).Name, f.Kind())
+			}
+		}
+	}
+	fill(reflect.ValueOf(&cfg).Elem())
+	cfg.Profile = solver.Secunda
+	return cfg
 }
 
 // TestWireJobRejectsSkew: schema drift and corrupt enums fail decode
 // instead of producing a half-right job.
 func TestWireJobRejectsSkew(t *testing.T) {
 	c := mustParse(t, wireNIA)
-	good := EncodeJob("k", engine.Job{Kind: engine.KindSolve, Constraint: c, Timeout: time.Second})
+	good := EncodeJob("k", engine.Job{Kind: engine.KindSolve, Constraint: c, Config: core.Config{Timeout: time.Second}})
 	cases := []struct {
 		name   string
 		mutate func(*WireJob)
 	}{
 		{"schema", func(w *WireJob) { w.Schema = SchemaVersion + 1 }},
 		{"kind", func(w *WireJob) { w.Kind = 99 }},
-		{"profile", func(w *WireJob) { w.Profile = -1 }},
+		{"profile", func(w *WireJob) { w.Config.Profile = -1 }},
 		{"constraint", func(w *WireJob) { w.Constraint = "(assert" }},
 	}
 	for _, tc := range cases {
@@ -94,11 +129,6 @@ func TestWireJobRejectsSkew(t *testing.T) {
 		if _, err := DecodeJob(w); err == nil {
 			t.Errorf("%s skew decoded without error", tc.name)
 		}
-	}
-	pipe := EncodeJob("k", engine.Job{Kind: engine.KindPipeline, Constraint: c})
-	pipe.Config = nil
-	if _, err := DecodeJob(pipe); err == nil {
-		t.Error("pipeline job without config decoded without error")
 	}
 }
 

@@ -149,8 +149,8 @@ func TestBatchPerItemIsolation(t *testing.T) {
 	chaos.Disable()
 
 	resp := postJSON(t, ts.URL+"/v1/batch", BatchRequest{
-		Constraints:   []string{satQuadratic, "(assert (= x", satNIA},
-		Deterministic: true,
+		Constraints:  []string{satQuadratic, "(assert (= x", satNIA},
+		SolveRequest: SolveRequest{Deterministic: true},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch with one bad item code = %d, want 200", resp.StatusCode)
@@ -186,8 +186,8 @@ func TestBatchItemFaultStays200(t *testing.T) {
 	defer restore()
 
 	resp := postJSON(t, ts.URL+"/v1/batch", BatchRequest{
-		Constraints:   []string{satNIA, satQuadratic},
-		Deterministic: true,
+		Constraints:  []string{satNIA, satQuadratic},
+		SolveRequest: SolveRequest{Deterministic: true},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch under chaos code = %d, want 200", resp.StatusCode)

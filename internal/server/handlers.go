@@ -51,7 +51,7 @@ type SolveRequest struct {
 	// CubeVars, when positive, solves the bounded form by
 	// cube-and-conquer: 2^CubeVars assumption cubes raced with
 	// LBD-filtered clause sharing (pipeline mode replaces the bounded
-	// solve; portfolio mode adds a third racing leg).
+	// solve; portfolio mode adds a racing cube leg).
 	CubeVars int `json:"cube_vars,omitempty"`
 	// CubeJobs bounds concurrent cube legs (0: GOMAXPROCS; in
 	// deterministic mode it only enters the virtual-time makespan).
@@ -66,21 +66,12 @@ type SolveRequest struct {
 	Over bool `json:"over,omitempty"`
 }
 
-// BatchRequest is the decoded body of POST /v1/batch: the shared knobs of
-// SolveRequest applied to every constraint.
+// BatchRequest is the decoded body of POST /v1/batch: the knobs of
+// SolveRequest applied to every constraint. The embedded request's own
+// constraint field is ignored.
 type BatchRequest struct {
-	Constraints   []string `json:"constraints"`
-	Mode          string   `json:"mode,omitempty"`
-	Profile       string   `json:"profile,omitempty"`
-	TimeoutMS     int64    `json:"timeout_ms,omitempty"`
-	Width         int      `json:"width,omitempty"`
-	SLOT          bool     `json:"slot,omitempty"`
-	Deterministic bool     `json:"deterministic,omitempty"`
-	Trace         bool     `json:"trace,omitempty"`
-	CubeVars      int      `json:"cube_vars,omitempty"`
-	CubeJobs      int      `json:"cube_jobs,omitempty"`
-	CubeShareLBD  int      `json:"cube_share_lbd,omitempty"`
-	Over          bool     `json:"over,omitempty"`
+	Constraints []string `json:"constraints"`
+	SolveRequest
 }
 
 // CostSplit is the paper's per-solve cost decomposition.
@@ -148,6 +139,18 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// decodeStrictJSON decodes body into v, rejecting trailing data.
+func decodeStrictJSON(body string, v any) error {
+	dec := json.NewDecoder(strings.NewReader(body))
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("invalid JSON body: %w", err)
+	}
+	if dec.More() {
+		return errors.New("invalid JSON body: trailing data")
+	}
+	return nil
+}
+
 // decodeSolveRequest parses a /v1/solve body plus query parameters into a
 // SolveRequest. A JSON content type (or a body that looks like a JSON
 // object) selects the JSON form; anything else is taken as a raw SMT-LIB
@@ -156,120 +159,98 @@ func decodeSolveRequest(contentType string, body []byte, query url.Values) (Solv
 	var req SolveRequest
 	trimmed := strings.TrimSpace(string(body))
 	if strings.Contains(contentType, "json") || strings.HasPrefix(trimmed, "{") {
-		dec := json.NewDecoder(strings.NewReader(trimmed))
-		if err := dec.Decode(&req); err != nil {
-			return req, fmt.Errorf("invalid JSON body: %w", err)
-		}
-		if dec.More() {
-			return req, errors.New("invalid JSON body: trailing data")
+		if err := decodeStrictJSON(trimmed, &req); err != nil {
+			return req, err
 		}
 	} else {
 		req.Constraint = string(body)
 	}
-	if err := applyQuery(&req.Mode, &req.Profile, &req.TimeoutMS, &req.Width, &req.SLOT, &req.Deterministic, &req.Trace, &req.CubeVars, &req.CubeJobs, &req.CubeShareLBD, &req.Over, query); err != nil {
-		return req, err
-	}
-	return req, validateKnobs(req.Constraint == "", req.Mode, req.Profile, req.TimeoutMS, req.Width, req.CubeVars, req.CubeJobs, req.CubeShareLBD)
+	return req, req.applyQuery(query, req.Constraint == "")
 }
 
 // decodeBatchRequest parses a /v1/batch body (always JSON) plus query
 // parameters.
 func decodeBatchRequest(body []byte, query url.Values) (BatchRequest, error) {
 	var req BatchRequest
-	dec := json.NewDecoder(strings.NewReader(string(body)))
-	if err := dec.Decode(&req); err != nil {
-		return req, fmt.Errorf("invalid JSON body: %w", err)
-	}
-	if dec.More() {
-		return req, errors.New("invalid JSON body: trailing data")
-	}
-	if err := applyQuery(&req.Mode, &req.Profile, &req.TimeoutMS, &req.Width, &req.SLOT, &req.Deterministic, &req.Trace, &req.CubeVars, &req.CubeJobs, &req.CubeShareLBD, &req.Over, query); err != nil {
+	if err := decodeStrictJSON(string(body), &req); err != nil {
 		return req, err
 	}
-	return req, validateKnobs(len(req.Constraints) == 0, req.Mode, req.Profile, req.TimeoutMS, req.Width, req.CubeVars, req.CubeJobs, req.CubeShareLBD)
+	return req, req.applyQuery(query, len(req.Constraints) == 0)
 }
 
-// applyQuery overlays URL query parameters onto decoded body fields.
-func applyQuery(mode, profile *string, timeoutMS *int64, width *int, slot, deterministic, trace *bool, cubeVars, cubeJobs, cubeShareLBD *int, over *bool, query url.Values) error {
+// applyQuery overlays URL query parameters onto the decoded body fields,
+// then rejects an empty constraint and out-of-range knobs before any
+// solving.
+func (r *SolveRequest) applyQuery(query url.Values, emptyConstraint bool) error {
 	if v := query.Get("mode"); v != "" {
-		*mode = v
+		r.Mode = v
 	}
 	if v := query.Get("profile"); v != "" {
-		*profile = v
+		r.Profile = v
 	}
 	if v := query.Get("timeout"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil {
 			return fmt.Errorf("invalid timeout parameter %q: %v", v, err)
 		}
-		*timeoutMS = d.Milliseconds()
+		r.TimeoutMS = d.Milliseconds()
 	}
 	if v := query.Get("width"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", width); err != nil {
+		if _, err := fmt.Sscanf(v, "%d", &r.Width); err != nil {
 			return fmt.Errorf("invalid width parameter %q", v)
 		}
 	}
-	if v := query.Get("slot"); v != "" {
-		*slot = v == "1" || v == "true"
-	}
-	if v := query.Get("deterministic"); v != "" {
-		*deterministic = v == "1" || v == "true"
-	}
-	if v := query.Get("trace"); v != "" {
-		*trace = v == "1" || v == "true"
-	}
-	if v := query.Get("over"); v != "" {
-		*over = v == "1" || v == "true"
+	for _, p := range []struct {
+		name string
+		dst  *bool
+	}{{"slot", &r.SLOT}, {"deterministic", &r.Deterministic}, {"trace", &r.Trace}, {"over", &r.Over}} {
+		if v := query.Get(p.name); v != "" {
+			*p.dst = v == "1" || v == "true"
+		}
 	}
 	for _, p := range []struct {
 		name string
 		dst  *int
-	}{{"cube_vars", cubeVars}, {"cube_jobs", cubeJobs}, {"cube_share_lbd", cubeShareLBD}} {
+	}{{"cube_vars", &r.CubeVars}, {"cube_jobs", &r.CubeJobs}, {"cube_share_lbd", &r.CubeShareLBD}} {
 		if v := query.Get(p.name); v != "" {
 			if _, err := fmt.Sscanf(v, "%d", p.dst); err != nil {
 				return fmt.Errorf("invalid %s parameter %q", p.name, v)
 			}
 		}
 	}
-	return nil
-}
 
-// validateKnobs rejects out-of-range request knobs before any solving.
-func validateKnobs(emptyConstraint bool, mode, profile string, timeoutMS int64, width, cubeVars, cubeJobs, cubeShareLBD int) error {
 	if emptyConstraint {
 		return errors.New("empty constraint")
 	}
-	switch mode {
+	switch r.Mode {
 	case "", "pipeline", "portfolio", "solve":
 	default:
-		return fmt.Errorf("unknown mode %q (want pipeline, portfolio or solve)", mode)
+		return fmt.Errorf("unknown mode %q (want pipeline, portfolio or solve)", r.Mode)
 	}
-	switch profile {
-	case "", "prima", "secunda":
-	default:
-		return fmt.Errorf("unknown profile %q (want prima or secunda)", profile)
+	if _, err := solver.ParseProfile(r.Profile); err != nil {
+		return err
 	}
-	if timeoutMS < 0 {
-		return fmt.Errorf("negative timeout_ms %d", timeoutMS)
+	if r.TimeoutMS < 0 {
+		return fmt.Errorf("negative timeout_ms %d", r.TimeoutMS)
 	}
-	if width < 0 || width > 1<<16 {
-		return fmt.Errorf("width %d out of range", width)
+	if r.Width < 0 || r.Width > 1<<16 {
+		return fmt.Errorf("width %d out of range", r.Width)
 	}
-	if cubeVars < 0 || cubeVars > 12 {
-		return fmt.Errorf("cube_vars %d out of range (0..12)", cubeVars)
+	if r.CubeVars < 0 || r.CubeVars > 12 {
+		return fmt.Errorf("cube_vars %d out of range (0..12)", r.CubeVars)
 	}
-	if cubeJobs < 0 || cubeJobs > 1<<10 {
-		return fmt.Errorf("cube_jobs %d out of range", cubeJobs)
+	if r.CubeJobs < 0 || r.CubeJobs > 1<<10 {
+		return fmt.Errorf("cube_jobs %d out of range", r.CubeJobs)
 	}
-	if cubeShareLBD > 1<<10 {
-		return fmt.Errorf("cube_share_lbd %d out of range", cubeShareLBD)
+	if r.CubeShareLBD > 1<<10 {
+		return fmt.Errorf("cube_share_lbd %d out of range", r.CubeShareLBD)
 	}
 	return nil
 }
 
-// timeout clamps the requested budget into (0, MaxTimeout].
-func (s *Server) timeout(timeoutMS int64) time.Duration {
-	d := time.Duration(timeoutMS) * time.Millisecond
+// timeout clamps a requested budget into (0, MaxTimeout]; zero or less
+// selects DefaultTimeout.
+func (s *Server) timeout(d time.Duration) time.Duration {
 	if d <= 0 {
 		d = s.cfg.DefaultTimeout
 	}
@@ -279,68 +260,37 @@ func (s *Server) timeout(timeoutMS int64) time.Duration {
 	return d
 }
 
-// cubeKnobs resolves a request's cube-and-conquer knobs: a request that
-// names no cube_vars inherits the server-wide defaults wholesale, one
-// that does keeps its own jobs/LBD values (zero meaning the package
-// defaults).
-func (s *Server) cubeKnobs(cv, cj, cl int) (int, int, int) {
-	if cv == 0 {
-		return s.cfg.CubeVars, s.cfg.CubeJobs, s.cfg.CubeShareLBD
+// job compiles a validated request and its parsed constraint into an
+// engine job under the server's caps and defaults: the clamped budget,
+// the server-wide cube knobs wholesale for a request that names no
+// cube_vars of its own (one that does keeps its own jobs/LBD values, zero
+// meaning the package defaults), and the server-wide over leg, which a
+// request can add but not remove.
+func (s *Server) job(c *smt.Constraint, req SolveRequest) engine.Job {
+	prof, _ := solver.ParseProfile(req.Profile) // validated by applyQuery
+	cfg := core.Config{
+		Timeout:       s.timeout(time.Duration(req.TimeoutMS) * time.Millisecond),
+		Profile:       prof,
+		FixedWidth:    req.Width,
+		UseSLOT:       req.SLOT,
+		Deterministic: req.Deterministic,
+		Trace:         req.Trace,
+		CubeVars:      req.CubeVars,
+		CubeJobs:      req.CubeJobs,
+		CubeShareLBD:  req.CubeShareLBD,
+		OverApprox:    req.Over || s.cfg.OverApprox,
 	}
-	return cv, cj, cl
-}
-
-// wallBudget is the request-context deadline for a solve budget. A
-// deterministic solve terminates on its virtual work budget, so its wall
-// deadline is only a generous backstop (mirroring the engine's own
-// convention); a wall-clock solve gets the budget itself.
-func wallBudget(timeout time.Duration, deterministic bool) time.Duration {
-	if !deterministic {
-		return timeout
-	}
-	backstop := 10 * timeout
-	if backstop < 30*time.Second {
-		backstop = 30 * time.Second
-	}
-	return backstop
-}
-
-// buildJob compiles request knobs and a parsed constraint into an engine
-// job.
-func buildJob(c *smt.Constraint, mode, profile string, timeout time.Duration, width int, slot, deterministic, trace bool, cubeVars, cubeJobs, cubeShareLBD int, over bool) engine.Job {
-	prof := solver.Prima
-	if profile == "secunda" {
-		prof = solver.Secunda
-	}
-	if mode == "solve" {
-		return engine.Job{
-			Kind:          engine.KindSolve,
-			Constraint:    c,
-			Profile:       prof,
-			Timeout:       timeout,
-			Deterministic: deterministic,
-		}
+	if cfg.CubeVars == 0 {
+		cfg.CubeVars, cfg.CubeJobs, cfg.CubeShareLBD = s.cfg.CubeVars, s.cfg.CubeJobs, s.cfg.CubeShareLBD
 	}
 	kind := engine.KindPipeline
-	if mode == "portfolio" {
+	switch req.Mode {
+	case "solve":
+		kind = engine.KindSolve
+	case "portfolio":
 		kind = engine.KindPortfolio
 	}
-	return engine.Job{
-		Kind:       kind,
-		Constraint: c,
-		Config: core.Config{
-			Timeout:       timeout,
-			Profile:       prof,
-			FixedWidth:    width,
-			UseSLOT:       slot,
-			Deterministic: deterministic,
-			Trace:         trace,
-			CubeVars:      cubeVars,
-			CubeJobs:      cubeJobs,
-			CubeShareLBD:  cubeShareLBD,
-			OverApprox:    over,
-		},
-	}
+	return engine.Job{Kind: kind, Constraint: c, Config: cfg}
 }
 
 // buildResponse classifies an engine result into the wire format and
@@ -490,18 +440,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parsing constraint: %v", err)
 		return
 	}
-	timeout := s.timeout(req.TimeoutMS)
-	cv, cj, cl := s.cubeKnobs(req.CubeVars, req.CubeJobs, req.CubeShareLBD)
-	job := buildJob(c, req.Mode, req.Profile, timeout, req.Width, req.SLOT, req.Deterministic, req.Trace, cv, cj, cl, req.Over || s.cfg.OverApprox)
+	job := s.job(c, req)
 	if !s.admit(1) {
-		w.Header().Set("Retry-After", retryAfter(timeout))
+		w.Header().Set("Retry-After", retryAfter(job.Config.Timeout))
 		writeError(w, http.StatusTooManyRequests,
 			"saturated: %d solves admitted (limit %d)", s.Admitted(), s.limit)
 		return
 	}
 	defer s.release(1)
 	chaos.PanicAt("server:solve")
-	ctx, cancel := s.solveCtx(r, wallBudget(timeout, req.Deterministic))
+	ctx, cancel := s.solveCtx(r, job.Config.Timeout, job.Config.Deterministic)
 	defer cancel()
 	t0 := time.Now()
 	res, ran, retried := s.solveWithRetry(ctx, job)
@@ -543,7 +491,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Per-item parse isolation: one malformed constraint becomes an error
 	// entry in its slot instead of failing its well-formed siblings with a
 	// whole-batch 400.
-	constraints := make([]*smt.Constraint, len(req.Constraints))
+	jobs := make([]engine.Job, len(req.Constraints))
 	valid := make([]int, 0, len(req.Constraints))
 	for i, src := range req.Constraints {
 		c, err := smt.ParseScript(src)
@@ -556,33 +504,32 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
-		constraints[i] = c
+		jobs[i] = s.job(c, req.SolveRequest)
 		valid = append(valid, i)
 	}
 	if len(valid) == 0 {
 		writeJSON(w, http.StatusOK, out)
 		return
 	}
-	timeout := s.timeout(req.TimeoutMS)
+	cfg := jobs[valid[0]].Config
 	n := int64(len(valid))
 	// All-or-nothing admission over the solvable subset keeps a partially
 	// admitted batch from occupying capacity while its rejected remainder
 	// fails the request.
 	if !s.admit(n) {
-		w.Header().Set("Retry-After", retryAfter(timeout))
+		w.Header().Set("Retry-After", retryAfter(cfg.Timeout))
 		writeError(w, http.StatusTooManyRequests,
 			"saturated: batch of %d does not fit (admitted %d, limit %d)", n, s.Admitted(), s.limit)
 		return
 	}
-	ctx, cancel := s.solveCtx(r, wallBudget(timeout, req.Deterministic))
+	ctx, cancel := s.solveCtx(r, cfg.Timeout, cfg.Deterministic)
 	defer cancel()
-	cv, cj, cl := s.cubeKnobs(req.CubeVars, req.CubeJobs, req.CubeShareLBD)
 	done := make(chan int, len(valid))
 	for _, i := range valid {
 		go func(i int) {
 			defer func() { done <- i }()
 			defer s.release(1)
-			job := buildJob(constraints[i], req.Mode, req.Profile, timeout, req.Width, req.SLOT, req.Deterministic, req.Trace, cv, cj, cl, req.Over || s.cfg.OverApprox)
+			job := jobs[i]
 			jt0 := time.Now()
 			res, ran, retried := s.solveWithRetry(ctx, job)
 			if !ran {

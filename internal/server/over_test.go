@@ -100,10 +100,12 @@ func TestSolveResponseSchema(t *testing.T) {
 func TestBatchOverFlag(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp := postJSON(t, ts.URL+"/v1/batch", BatchRequest{
-		Constraints:   []string{overUnsatLIA, satNIA},
-		Mode:          "pipeline",
-		Over:          true,
-		Deterministic: true,
+		Constraints: []string{overUnsatLIA, satNIA},
+		SolveRequest: SolveRequest{
+			Mode:          "pipeline",
+			Over:          true,
+			Deterministic: true,
+		},
 	})
 	var out BatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {

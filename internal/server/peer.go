@@ -48,17 +48,7 @@ func (s *Server) handlePeerSolve(w http.ResponseWriter, r *http.Request) {
 			"peer job key mismatch: got %s, recomputed %s", wj.Key, key)
 		return
 	}
-	budget := j.Timeout
-	if j.Kind != engine.KindSolve {
-		budget = j.Config.Timeout
-	}
-	if budget <= 0 {
-		budget = s.cfg.DefaultTimeout
-	}
-	if budget > s.cfg.MaxTimeout {
-		budget = s.cfg.MaxTimeout
-	}
-	deterministic := j.Deterministic || j.Config.Deterministic
+	budget := s.timeout(j.Config.Timeout)
 	if !s.admit(1) {
 		// 429 tells the client this node is alive but full; it solves
 		// locally without retrying (retrying would pile onto the overload)
@@ -69,7 +59,7 @@ func (s *Server) handlePeerSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release(1)
-	ctx, cancel := s.solveCtx(r, wallBudget(budget, deterministic))
+	ctx, cancel := s.solveCtx(r, budget, j.Config.Deterministic)
 	defer cancel()
 	t0 := time.Now()
 	res, ran := s.runJob(ctx, j, true)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"staub/internal/core"
 	"staub/internal/engine"
 	"staub/internal/pool"
 	"staub/internal/smt"
@@ -138,7 +139,7 @@ func TestPeerSolveEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := engine.Job{Kind: engine.KindSolve, Constraint: c, Timeout: 2 * time.Second, Deterministic: true}
+	j := engine.Job{Kind: engine.KindSolve, Constraint: c, Config: core.Config{Timeout: 2 * time.Second, Deterministic: true}}
 
 	t.Run("solves", func(t *testing.T) {
 		resp := postJSON(t, ts.URL+"/v1/peer/solve", pool.EncodeJob(j.Key(), j))
@@ -306,7 +307,7 @@ func TestClusterNodeKillDrill(t *testing.T) {
 				var got string
 				if i%4 == 3 {
 					resp := postJSON(t, node.url+"/v1/batch", BatchRequest{
-						Constraints: []string{it.src}, Mode: it.mode, Deterministic: true})
+						Constraints: []string{it.src}, SolveRequest: SolveRequest{Mode: it.mode, Deterministic: true}})
 					if resp.StatusCode != http.StatusOK {
 						t.Errorf("batch via survivor %s = %d", node.url, resp.StatusCode)
 						return

@@ -42,6 +42,7 @@ import (
 	"staub/internal/cube"
 	"staub/internal/engine"
 	"staub/internal/metrics"
+	"staub/internal/pipeline"
 	"staub/internal/pool"
 	"staub/internal/session"
 	"staub/internal/solver"
@@ -475,12 +476,19 @@ func requestID(ctx context.Context) string {
 	return id
 }
 
-// solveCtx derives the per-request solve context: the client deadline on
-// top of the request context, with a hard-stop hook so Abort interrupts
-// the solve even while http.Server.Shutdown is still waiting for the
-// handler.
-func (s *Server) solveCtx(r *http.Request, timeout time.Duration) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+// solveCtx derives the per-request solve context for a solve budget on
+// top of the request context. A wall-clock solve gets the budget as its
+// deadline. A deterministic solve ends on its virtual work budget, so its
+// deadline is the engine's own backstop rule (pipeline.BackstopDeadline),
+// which the request context can then never undercut. A hard-stop hook
+// lets Abort interrupt the solve even while http.Server.Shutdown is still
+// waiting for the handler.
+func (s *Server) solveCtx(r *http.Request, timeout time.Duration, deterministic bool) (context.Context, context.CancelFunc) {
+	deadline := time.Now().Add(timeout)
+	if deterministic {
+		deadline = pipeline.BackstopDeadline(timeout)
+	}
+	ctx, cancel := context.WithDeadline(r.Context(), deadline)
 	stop := context.AfterFunc(s.hardCtx, cancel)
 	return ctx, func() { stop(); cancel() }
 }

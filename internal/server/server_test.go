@@ -196,10 +196,12 @@ func TestBodyTooLargeIs413(t *testing.T) {
 func TestBatchOrderingAndCacheDedup(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp := postJSON(t, ts.URL+"/v1/batch", BatchRequest{
-		Constraints:   []string{satNIA, unsatLIA, satNIA},
-		Mode:          "portfolio",
-		TimeoutMS:     5000,
-		Deterministic: true,
+		Constraints: []string{satNIA, unsatLIA, satNIA},
+		SolveRequest: SolveRequest{
+			Mode:          "portfolio",
+			TimeoutMS:     5000,
+			Deterministic: true,
+		},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("code = %d, want 200: %s", resp.StatusCode, readBody(t, resp))

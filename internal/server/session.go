@@ -1,28 +1,14 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"staub/internal/session"
 	"staub/internal/solver"
 )
-
-// decodeStrictJSON decodes body into v, rejecting trailing data.
-func decodeStrictJSON(body []byte, v any) error {
-	dec := json.NewDecoder(strings.NewReader(string(body)))
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid JSON body: %w", err)
-	}
-	if dec.More() {
-		return errors.New("invalid JSON body: trailing data")
-	}
-	return nil
-}
 
 // The session tier: stateful SMT-LIB conversations over HTTP.
 //
@@ -120,19 +106,22 @@ type SessionCheckResponse struct {
 	ElapsedMS     float64           `json:"elapsed_ms"`
 }
 
-// sessionConfig compiles a create request into a session.Config under
-// the server's caps.
-func (s *Server) sessionConfig(req SessionCreateRequest) session.Config {
-	prof := solver.Prima
-	if req.Profile == "secunda" {
-		prof = solver.Secunda
+// sessionConfig validates a create request and compiles it into a
+// session.Config under the server's caps.
+func (s *Server) sessionConfig(req SessionCreateRequest) (session.Config, error) {
+	prof, err := solver.ParseProfile(req.Profile)
+	if err != nil {
+		return session.Config{}, err
+	}
+	if req.StartWidth < 0 || req.StartWidth > 1<<16 || req.WidthStep < 0 || req.RefineRounds < 0 {
+		return session.Config{}, errors.New("refinement knobs out of range")
 	}
 	budget := s.cfg.SessionMemoryBudget
 	if req.MemoryBudgetBytes > 0 && req.MemoryBudgetBytes < budget {
 		budget = req.MemoryBudgetBytes
 	}
 	return session.Config{
-		Timeout:       s.timeout(req.TimeoutMS),
+		Timeout:       s.timeout(time.Duration(req.TimeoutMS) * time.Millisecond),
 		StartWidth:    req.StartWidth,
 		WidthStep:     req.WidthStep,
 		RefineRounds:  req.RefineRounds,
@@ -141,7 +130,7 @@ func (s *Server) sessionConfig(req SessionCreateRequest) session.Config {
 		Deterministic: req.Deterministic,
 		MemoryBudget:  budget,
 		MeasureReplay: req.MeasureReplay,
-	}
+	}, nil
 }
 
 // sessionTTL clamps a requested TTL into (0, SessionTTL].
@@ -252,25 +241,20 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	var req SessionCreateRequest
 	if len(body) > 0 {
-		if err := decodeStrictJSON(body, &req); err != nil {
+		if err := decodeStrictJSON(string(body), &req); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
-	switch req.Profile {
-	case "", "prima", "secunda":
-	default:
-		writeError(w, http.StatusBadRequest, "unknown profile %q (want prima or secunda)", req.Profile)
-		return
-	}
-	if req.StartWidth < 0 || req.StartWidth > 1<<16 || req.WidthStep < 0 || req.RefineRounds < 0 {
-		writeError(w, http.StatusBadRequest, "refinement knobs out of range")
+	cfg, err := s.sessionConfig(req)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
 	now := time.Now()
 	ttl := s.sessionTTL(req.TTLMS)
-	sess := session.New(s.sessionConfig(req))
+	sess := session.New(cfg)
 	id := s.newSessionID()
 
 	s.sessMu.Lock()
@@ -292,7 +276,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, map[string]any{
 		"id":         id,
 		"ttl_ms":     ttl.Milliseconds(),
-		"timeout_ms": s.timeout(req.TimeoutMS).Milliseconds(),
+		"timeout_ms": cfg.Timeout.Milliseconds(),
 	})
 }
 
@@ -386,7 +370,7 @@ func (s *Server) handleScope(w http.ResponseWriter, r *http.Request, op func(*se
 	}
 	req := scopeRequest{N: 1}
 	if len(body) > 0 {
-		if err := decodeStrictJSON(body, &req); err != nil {
+		if err := decodeStrictJSON(string(body), &req); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
@@ -414,7 +398,7 @@ func (s *Server) handleSessionCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg := e.sess.Config()
-	ctx, cancel := s.solveCtx(r, wallBudget(cfg.Timeout, cfg.Deterministic))
+	ctx, cancel := s.solveCtx(r, cfg.Timeout, cfg.Deterministic)
 	defer cancel()
 	t0 := time.Now()
 	cr, err := e.sess.Check(ctx)

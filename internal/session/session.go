@@ -598,18 +598,7 @@ func (s *Session) runSessionContained(ctx context.Context, c *smt.Constraint, cf
 // fallbackSolve is the unbounded reference solve of the visible
 // constraint, under the same budget regime a one-shot run would get.
 func (s *Session) fallbackSolve(ctx context.Context, c *smt.Constraint) solver.Result {
-	o := solver.Options{
-		Ctx:     ctx,
-		Profile: s.cfg.Profile,
-		Seed:    s.cfg.Seed,
-	}
-	if s.cfg.Deterministic {
-		o.WorkBudget = solver.WorkBudgetFor(s.cfg.Timeout)
-		o.Deadline = pipeline.BackstopDeadline(s.cfg.Timeout)
-	} else {
-		o.Deadline = time.Now().Add(s.cfg.Timeout)
-	}
-	return solver.Solve(c, o)
+	return pipeline.SolveOriginal(ctx, c, s.pipelineCfg(), nil)
 }
 
 // replayWork measures what the check would have cost from scratch: the

@@ -45,6 +45,18 @@ func (p Profile) String() string {
 	return "prima"
 }
 
+// ParseProfile is the inverse of Profile.String. The empty name selects
+// Prima; an unknown name is an error.
+func ParseProfile(name string) (Profile, error) {
+	switch name {
+	case "", "prima":
+		return Prima, nil
+	case "secunda":
+		return Secunda, nil
+	}
+	return Prima, fmt.Errorf("unknown profile %q (want prima or secunda)", name)
+}
+
 // Options configures a solve call.
 type Options struct {
 	// Ctx, when non-nil, aborts solving on cancellation or deadline

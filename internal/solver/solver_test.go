@@ -114,6 +114,26 @@ func TestProfilesBothWork(t *testing.T) {
 	}
 }
 
+// TestParseProfileRoundTrip: ParseProfile inverts String for every
+// profile, maps the empty name to Prima, and rejects names it does not
+// know instead of falling back to Prima.
+func TestParseProfileRoundTrip(t *testing.T) {
+	for _, p := range []Profile{Prima, Secunda} {
+		got, err := ParseProfile(p.String())
+		if err != nil || got != p {
+			t.Errorf("ParseProfile(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	if got, err := ParseProfile(""); err != nil || got != Prima {
+		t.Errorf(`ParseProfile("") = %v, %v; want prima`, got, err)
+	}
+	for _, name := range []string{"z3", "Prima", "secunda "} {
+		if _, err := ParseProfile(name); err == nil {
+			t.Errorf("ParseProfile(%q) accepted an unknown profile", name)
+		}
+	}
+}
+
 func TestFormatModelDeterministic(t *testing.T) {
 	c := parse(t, `
 		(declare-fun b () Int)
