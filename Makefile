@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz differential sat-diff cube-diff overapprox-diff chaos bench serve-smoke session-smoke pool-smoke
+.PHONY: check fmt vet build bench-build test race fuzz differential sat-diff cube-diff overapprox-diff chaos bench serve-smoke session-smoke pool-smoke
 
-# check is the CI gate: static checks, build, the full suite under the
-# race detector, short fuzz passes over the SMT-LIB parser and the server
-# request decoder, the incremental-vs-fresh refinement differential under
+# check is the CI gate: static checks, build (the benchmark module too),
+# the full suite under the race detector, short fuzz passes over the
+# SMT-LIB parser and the server request decoder, the
+# incremental-vs-fresh refinement differential under
 # -race, the cube-and-conquer differential, the short chaos gate, and
 # end-to-end smokes of the staub-serve binary (one-shot solves, the
 # stateful session tier, and the peer pool's node-kill drill).
-check: fmt vet build race fuzz differential sat-diff cube-diff overapprox-diff chaos serve-smoke session-smoke pool-smoke
+check: fmt vet build bench-build race fuzz differential sat-diff cube-diff overapprox-diff chaos serve-smoke session-smoke pool-smoke
 
 # fmt fails if any file is not gofmt-clean, and prints the offenders.
 fmt:
@@ -19,6 +20,11 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# bench-build compiles and vets bench/, a module of its own that
+# `go build ./...` never reaches although it calls into internal/.
+bench-build:
+	cd bench && $(GO) build ./... && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

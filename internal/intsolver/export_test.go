@@ -2,7 +2,6 @@ package intsolver
 
 import (
 	"staub/internal/eval"
-	"staub/internal/interval"
 	"staub/internal/poly"
 	"staub/internal/smt"
 	"staub/internal/status"
@@ -31,12 +30,7 @@ func KernelPaths(c *smt.Constraint, point map[string]int64) (compiles, rootFits,
 	if cc == nil {
 		return false, false, false
 	}
-	base := map[string]interval.Interval{}
-	for _, v := range vars {
-		base[v] = interval.Full()
-	}
-	contractUnitAtoms(cs, base)
-	_, rootFits = cc.newKernel64(base)
+	_, rootFits = cc.newKernel64(rootBox(cs, vars))
 	x := make([]int64, len(vars))
 	for i, v := range vars {
 		x[i] = point[v]

@@ -1,0 +1,36 @@
+package overapprox
+
+import (
+	"fmt"
+
+	"staub/internal/absint"
+	"staub/internal/smt"
+)
+
+// Certify runs certify at the default width limits.
+func Certify(c *smt.Constraint) (width int, hints map[string]int, root int, ok bool) {
+	return certify(c, absint.Limits{})
+}
+
+// DerivedBounds runs deriveIntervals over c and renders every variable
+// bound on at least one side as "[lo, hi]", with -oo/+oo for an open
+// side.
+func DerivedBounds(c *smt.Constraint) map[string]string {
+	out := map[string]string{}
+	for name, iv := range deriveIntervals(c.Vars, c.Assertions) {
+		if iv.Lo.IsFinite() || iv.Hi.IsFinite() {
+			out[name] = fmt.Sprintf("[%s, %s]", iv.Lo, iv.Hi)
+		}
+	}
+	return out
+}
+
+// Linearize returns linearize-nia's abstraction of c, or nil when c has
+// no nonlinear product.
+func Linearize(c *smt.Constraint) (*smt.Constraint, error) {
+	if !hasNonlinearMul(c) {
+		return nil, nil
+	}
+	abs, _, _, err := linearize(c)
+	return abs, err
+}

@@ -5,6 +5,7 @@ import (
 	"math/big"
 
 	"staub/internal/eval"
+	"staub/internal/interval"
 	"staub/internal/pipeline"
 	"staub/internal/smt"
 )
@@ -405,9 +406,9 @@ func (ln *linearizer) emitAxioms() {
 		// Interval product: both factors bounded gives the product a
 		// concrete range, recorded so nested products chain.
 		if isInt {
-			if bounds := productInterval(iv, x, y); bounds != nil {
-				ln.out.MustAssert(b.Ge(m, b.IntBig(bounds.lo)))
-				ln.out.MustAssert(b.Le(m, b.IntBig(bounds.hi)))
+			if bounds, ok := productInterval(iv, x, y); ok {
+				ln.out.MustAssert(b.Ge(m, b.IntBig(bounds.Lo.V.Num())))
+				ln.out.MustAssert(b.Le(m, b.IntBig(bounds.Hi.V.Num())))
 				iv[m.Name] = bounds
 			}
 		}
@@ -415,38 +416,16 @@ func (ln *linearizer) emitAxioms() {
 }
 
 // productInterval multiplies the factors' intervals when both factors are
-// variables with full bounds; nil when no concrete range is derivable.
-func productInterval(iv map[string]*ivl, a, b *smt.Term) *ivl {
-	ia := varInterval(iv, a)
-	ib := varInterval(iv, b)
-	if ia == nil || ib == nil {
-		return nil
-	}
-	products := []*big.Int{
-		new(big.Int).Mul(ia.lo, ib.lo),
-		new(big.Int).Mul(ia.lo, ib.hi),
-		new(big.Int).Mul(ia.hi, ib.lo),
-		new(big.Int).Mul(ia.hi, ib.hi),
-	}
-	lo, hi := products[0], products[0]
-	for _, p := range products[1:] {
-		if p.Cmp(lo) < 0 {
-			lo = p
+// integer variables with finite bounds; false when no concrete range is
+// derivable.
+func productInterval(iv map[string]interval.Interval, a, b *smt.Term) (interval.Interval, bool) {
+	for _, f := range []*smt.Term{a, b} {
+		if f.Op != smt.OpVar || f.Sort.Kind != smt.KindInt {
+			return interval.Interval{}, false
 		}
-		if p.Cmp(hi) > 0 {
-			hi = p
+		if _, finite := iv[f.Name].Width(); !finite {
+			return interval.Interval{}, false
 		}
 	}
-	return &ivl{lo: lo, hi: hi}
-}
-
-func varInterval(iv map[string]*ivl, t *smt.Term) *ivl {
-	if t.Op != smt.OpVar || t.Sort.Kind != smt.KindInt {
-		return nil
-	}
-	b := iv[t.Name]
-	if b == nil || b.lo == nil || b.hi == nil {
-		return nil
-	}
-	return b
+	return iv[a.Name].Mul(iv[b.Name]), true
 }

@@ -2,12 +2,12 @@ package overapprox
 
 import (
 	"context"
-	"math/big"
 	"strings"
 	"testing"
 	"time"
 
 	"staub/internal/absint"
+	"staub/internal/interval"
 	"staub/internal/pipeline"
 	"staub/internal/smt"
 	"staub/internal/status"
@@ -224,13 +224,57 @@ func TestPropagateDerivesTransitiveBounds(t *testing.T) {
 		(assert (<= y (+ x 5)))
 		(assert (>= y (- x 5)))
 		(check-sat)`)
-	iv := deriveIntervals(c.Vars, c.Assertions)
-	y := iv["y"]
-	if y == nil || y.lo == nil || y.hi == nil {
-		t.Fatalf("y not bounded: %+v", y)
+	y, ok := deriveIntervals(c.Vars, c.Assertions)["y"]
+	if !ok {
+		t.Fatal("y has no interval")
 	}
-	if y.hi.Cmp(big.NewInt(15)) != 0 || y.lo.Cmp(big.NewInt(-5)) != 0 {
-		t.Errorf("y in [%v, %v], want [-5, 15]", y.lo, y.hi)
+	if want := interval.Of(-5, 15); y.Lo.Cmp(want.Lo) != 0 || y.Hi.Cmp(want.Hi) != 0 {
+		t.Errorf("y in %v, want %v", y, want)
+	}
+}
+
+// TestLeAtoms pins the normalizer's edge cases. The last three rows are
+// forms poly's exact algebra accepts beyond linear term matching: a
+// negated binary distinct, products that cancel and products scaled by
+// zero. Each normalizes to an equivalent linear atom, so accepting them
+// is sound.
+func TestLeAtoms(t *testing.T) {
+	for _, tc := range []struct {
+		term string
+		want []string // nil: rejected
+	}{
+		{"(<= x 3)", []string{"-3 + x <= 0"}},
+		{"(< x 5)", []string{"-4 + x <= 0"}},
+		{"(> x 5)", []string{"6 + -1*x <= 0"}},
+		{"(>= (* 2 x) (+ y 1))", []string{"1 + -2*x + y <= 0"}},
+		{"(= x y)", []string{"x + -1*y <= 0", "-1*x + y <= 0"}},
+		{"(<= x y z)", []string{"x + -1*y <= 0", "y + -1*z <= 0"}},
+		{"(= x y 4)", []string{"x + -1*y <= 0", "-1*x + y <= 0", "-4 + y <= 0", "4 + -1*y <= 0"}},
+		{"(not (<= x 3))", []string{"4 + -1*x <= 0"}},
+		{"(not (not (< x 3)))", []string{"-2 + x <= 0"}},
+		{"(distinct x y)", nil},
+		{"(not (= x y))", nil},
+		{"(not (<= x y z))", nil},
+		{"(<= (* x y) 3)", nil},
+		{"(<= (div x 2) 3)", nil},
+		{"(<= r 1.5)", nil},
+		{"(= p q)", nil},
+		{"p", nil},
+		{"(not (distinct x y))", []string{"x + -1*y <= 0", "-1*x + y <= 0"}},
+		{"(<= (- (* x y) (* x y)) x)", []string{"-1*x <= 0"}},
+		{"(<= (* 0 x y) x)", []string{"-1*x <= 0"}},
+	} {
+		c := parse(t, `(declare-fun x () Int) (declare-fun y () Int) (declare-fun z () Int)
+			(declare-fun r () Real) (declare-fun p () Bool) (declare-fun q () Bool)
+			(assert `+tc.term+`)`)
+		atoms, ok := leAtoms(c.Assertions[0])
+		var got []string
+		for _, a := range atoms {
+			got = append(got, a.String())
+		}
+		if ok != (tc.want != nil) || strings.Join(got, "; ") != strings.Join(tc.want, "; ") {
+			t.Errorf("leAtoms(%s) = %q, %t; want %q", tc.term, got, ok, tc.want)
+		}
 	}
 }
 

@@ -110,22 +110,13 @@ func (s *Solver) AddAtom(a poly.Atom) error {
 	s.atoms = append(s.atoms, a)
 
 	// Build the row Σ c_i x_i; the constant moves to the bound side.
-	// Monomials are visited in sorted order: variable indices are assigned
-	// on first sight, and Bland's rule pivots by index, so the iteration
-	// order here must not depend on map order.
+	// Variables are visited in sorted order: indices are assigned on first
+	// sight, and Bland's rule pivots by index, so the iteration order here
+	// must not depend on map order.
 	constPart := a.P.ConstPart()
-	monos := make([]string, 0, len(a.P))
-	for m := range a.P {
-		if m == "" {
-			continue
-		}
-		monos = append(monos, string(m))
-	}
-	sort.Strings(monos)
 	row := map[int]*big.Rat{}
-	for _, m := range monos {
-		vi := s.varIndex(m)
-		row[vi] = new(big.Rat).Set(a.P[poly.Monomial(m)])
+	for _, name := range a.P.Vars() {
+		row[s.varIndex(name)] = new(big.Rat).Set(a.P.Coeff(name))
 	}
 
 	// Single-variable atoms tighten bounds directly.
@@ -384,4 +375,21 @@ func (s *Solver) Value(name string) (Num, bool) {
 	}
 	s.computeBasics()
 	return s.beta[vi], true
+}
+
+// LinearSubsetUnsat reports whether the linear atoms of cs alone are
+// infeasible over the rationals, which refutes cs over the integers too.
+// The unbounded engines run it before any nonlinear reasoning, as
+// solvers discharge the linear core first.
+func LinearSubsetUnsat(cs poly.Case) bool {
+	sx := New()
+	n := 0
+	for _, a := range cs {
+		if a.P.IsLinear() && a.Rel != poly.RelNe {
+			if err := sx.AddAtom(a); err == nil {
+				n++
+			}
+		}
+	}
+	return n > 0 && sx.Check() == Unsat
 }

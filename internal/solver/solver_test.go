@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -47,6 +48,38 @@ func TestDispatchByKind(t *testing.T) {
 				t.Error("model fails verification")
 			}
 		})
+	}
+}
+
+// TestVariableNamesAreNotMonomials: '*' is a legal symbol character and
+// || a legal (empty) quoted symbol, so the unbounded engines must keep a
+// variable named x*y apart from the product x·y, and one named "" apart
+// from the constant 1. Each constraint is sat with x = y = 1 and the
+// named variable = 5.
+func TestVariableNamesAreNotMonomials(t *testing.T) {
+	for _, tc := range []struct {
+		logic, sort, five, one string
+		product                bool
+	}{
+		{"QF_LIA", "Int", "5", "1", false},
+		{"QF_NIA", "Int", "5", "1", true},
+		{"QF_NRA", "Real", "5.0", "1.0", true},
+	} {
+		for _, name := range []string{"x*y", ""} {
+			src := fmt.Sprintf(`(set-logic %[1]s)
+				(declare-fun x () %[2]s) (declare-fun y () %[2]s) (declare-fun |%[3]s| () %[2]s)
+				(assert (= |%[3]s| %[4]s)) (assert (= x %[5]s)) (assert (= y %[5]s))`,
+				tc.logic, tc.sort, name, tc.five, tc.one)
+			if tc.product {
+				src += fmt.Sprintf("(assert (= (* x y) %s))", tc.one)
+			}
+			c := parse(t, src+"(check-sat)")
+			r := Solve(c, Options{WorkBudget: WorkBudgetFor(2 * time.Second), Deadline: time.Now().Add(30 * time.Second)})
+			if r.Status != status.Sat || !VerifyModel(c, r.Model) {
+				t.Errorf("%s, variable %q: %s answered %v (model verifies: %t), want a verified sat",
+					tc.logic, name, r.Engine, r.Status, r.Status == status.Sat && VerifyModel(c, r.Model))
+			}
+		}
 	}
 }
 
