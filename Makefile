@@ -4,7 +4,7 @@ GO ?= go
 
 # check is the CI gate: static checks, build (the benchmark module too),
 # the full suite under the race detector, short fuzz passes over the
-# SMT-LIB parser and the server request decoder, the
+# SMT-LIB parser, the server request decoder and the FP word kernel, the
 # incremental-vs-fresh refinement differential under
 # -race, the cube-and-conquer differential, the short chaos gate, and
 # end-to-end smokes of the staub-serve binary (one-shot solves, the
@@ -39,6 +39,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSolveRequest -fuzztime=5s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzDIMACS -fuzztime=5s ./internal/sat
 	$(GO) test -run='^$$' -fuzz=FuzzOverApproxPipeline -fuzztime=5s ./internal/overapprox
+	$(GO) test -run='^$$' -fuzz=FuzzWordArith -fuzztime=5s ./internal/fp
 
 # differential pins the incremental refinement session to the fresh
 # per-round reference (same statuses, same widths) and the stateful
@@ -51,7 +52,9 @@ fuzz:
 # branch-and-prune (same status, model and Stats on the first 25 benchgen
 # QF_NIA instances of seed 1 plus the refinement corpus, and on cases
 # built to take each exact fallback; -short keeps the reference's ~10 µs
-# per node to seconds; plain `go test` runs seeds 1–3) — all under the
+# per node to seconds; plain `go test` runs seeds 1–3), and the FP word
+# kernel to the big.Rat path (every exported operation, bit for bit, on a
+# corner-case table and a seeded sweep over 21 formats) — all under the
 # race detector.
 differential:
 	$(GO) test -race -count=1 -run 'TestRefinementDifferentialIncrementalVsFresh' ./internal/core
@@ -59,6 +62,7 @@ differential:
 	$(GO) test -race -count=1 -run 'TestSessionDifferential' ./internal/session
 	$(GO) test -race -count=1 -run 'TestLazyCandidatesMatchEager|TestSolveMatchesEagerOnBenchgen' ./internal/fpsolver
 	$(GO) test -race -short -count=1 -run 'TestKernelMatchesReference|TestKernelFallbacksMatchReference' ./internal/intsolver
+	$(GO) test -race -count=1 -run 'TestWordMatchesReference' ./internal/fp
 
 # sat-diff is the CDCL differential gate: random CNF instances against a
 # brute-force oracle across every solver configuration (default settings,

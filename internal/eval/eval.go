@@ -271,9 +271,13 @@ func valuesEqual(a, b Value) (bool, error) {
 	case smt.KindBitVec:
 		return bv.Eq(a.BV, b.BV), nil
 	case smt.KindFloat:
-		// SMT-LIB (= x y) on FloatingPoint is structural equality of
-		// bit patterns up to NaN identity; we follow Z3's model checker
-		// and use bit equality (so -0 != +0 and NaN == NaN).
+		// SMT-LIB (= x y) on FloatingPoint is identity of values, and
+		// the theory has a single NaN: every NaN pattern, whatever its
+		// sign bit or payload, is that value. Other values are equal
+		// when their bit patterns are, so -0 != +0.
+		if a.FP.IsNaN() || b.FP.IsNaN() {
+			return a.FP.IsNaN() && b.FP.IsNaN(), nil
+		}
 		return a.FP.Bits().Cmp(b.FP.Bits()) == 0, nil
 	}
 	return false, fmt.Errorf("eval: equality on sort %v", a.Sort)

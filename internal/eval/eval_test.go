@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"staub/internal/bv"
+	"staub/internal/fp"
 	"staub/internal/smt"
 )
 
@@ -200,5 +201,21 @@ func TestToRealToInt(t *testing.T) {
 	}
 	if !ok {
 		t.Error("to_real(3) = 3.0 should hold")
+	}
+}
+
+// TestFPEqualityHasOneNaN: SMT-LIB's FloatingPoint theory has a single
+// NaN, so = and distinct identify NaNs whatever their sign bit, while
+// +0 and -0 stay distinct values.
+func TestFPEqualityHasOneNaN(t *testing.T) {
+	c := mustParse(t, `
+		(declare-fun x () (_ FloatingPoint 8 24))
+		(assert (= (fp.neg (_ NaN 8 24)) (_ NaN 8 24)))
+		(assert (not (distinct (fp.neg (fp.div RNE x x)) (fp.div RNE x x))))
+		(assert (distinct (fp.neg x) x))
+		(check-sat)`)
+	ok, err := Constraint(c, Assignment{"x": FPValue(fp.Float32.Zero(false))})
+	if err != nil || !ok {
+		t.Fatalf("NaN equality at x = +0: %t, %v; want true", ok, err)
 	}
 }

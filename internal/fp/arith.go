@@ -3,7 +3,10 @@ package fp
 import "math/big"
 
 // Arithmetic operations. All use round-to-nearest-even and follow the
-// IEEE-754 special-value rules. Operands must share a format.
+// IEEE-754 special-value rules. Operands must share a format. Each
+// operation runs on the word kernel (word.go) when the format allows it,
+// and otherwise computes exactly with big.Rat and rounds once; the
+// big.Rat bodies are also the word kernel's reference.
 
 func sameFormat(a, b Value) Format {
 	if a.fmt != b.fmt {
@@ -14,6 +17,9 @@ func sameFormat(a, b Value) Format {
 
 // Neg returns -v (flips the sign bit, including for NaN and zero).
 func Neg(v Value) Value {
+	if f := v.fmt; f.wordSized() {
+		return f.fromPattern(v.pattern() ^ f.signBit())
+	}
 	bits := v.Bits()
 	pos := v.fmt.TotalBits() - 1
 	if bits.Bit(pos) == 1 {
@@ -26,6 +32,9 @@ func Neg(v Value) Value {
 
 // Abs returns |v| (clears the sign bit).
 func Abs(v Value) Value {
+	if f := v.fmt; f.wordSized() {
+		return f.fromPattern(v.pattern() &^ f.signBit())
+	}
 	bits := v.Bits()
 	bits.SetBit(bits, v.fmt.TotalBits()-1, 0)
 	return Value{fmt: v.fmt, bits: bits}
@@ -33,6 +42,13 @@ func Abs(v Value) Value {
 
 // Add returns a + b.
 func Add(a, b Value) Value {
+	if f := sameFormat(a, b); f.wordSized() {
+		return f.fromPattern(f.addWord(a.pattern(), b.pattern()))
+	}
+	return addBig(a, b)
+}
+
+func addBig(a, b Value) Value {
 	f := sameFormat(a, b)
 	if a.IsNaN() || b.IsNaN() {
 		return f.NaN()
@@ -65,10 +81,22 @@ func Add(a, b Value) Value {
 }
 
 // Sub returns a - b.
-func Sub(a, b Value) Value { return Add(a, Neg(b)) }
+func Sub(a, b Value) Value {
+	if f := sameFormat(a, b); f.wordSized() {
+		return f.fromPattern(f.addWord(a.pattern(), b.pattern()^f.signBit()))
+	}
+	return addBig(a, Neg(b))
+}
 
 // Mul returns a * b.
 func Mul(a, b Value) Value {
+	if f := sameFormat(a, b); f.wordSized() {
+		return f.fromPattern(f.mulWord(a.pattern(), b.pattern()))
+	}
+	return mulBig(a, b)
+}
+
+func mulBig(a, b Value) Value {
 	f := sameFormat(a, b)
 	if a.IsNaN() || b.IsNaN() {
 		return f.NaN()
@@ -92,6 +120,13 @@ func Mul(a, b Value) Value {
 
 // Div returns a / b.
 func Div(a, b Value) Value {
+	if f := sameFormat(a, b); f.wordSized() {
+		return f.fromPattern(f.divWord(a.pattern(), b.pattern()))
+	}
+	return divBig(a, b)
+}
+
+func divBig(a, b Value) Value {
 	f := sameFormat(a, b)
 	if a.IsNaN() || b.IsNaN() {
 		return f.NaN()
@@ -122,7 +157,13 @@ func Div(a, b Value) Value {
 // cmp returns -1, 0 or 1 for ordered finite/infinite operands, and ok=false
 // when either operand is NaN (unordered).
 func cmp(a, b Value) (int, bool) {
-	sameFormat(a, b)
+	if f := sameFormat(a, b); f.wordSized() {
+		return f.cmpWord(a.pattern(), b.pattern())
+	}
+	return cmpBig(a, b)
+}
+
+func cmpBig(a, b Value) (int, bool) {
 	if a.IsNaN() || b.IsNaN() {
 		return 0, false
 	}

@@ -2,9 +2,15 @@
 // arithmetic in software ("softfloat"). A Format carries an arbitrary
 // exponent width EB and significand width SB (including the hidden bit),
 // matching the SMT-LIB (_ FloatingPoint eb sb) sort family; values are
-// represented by their raw bit patterns and all arithmetic is performed
-// exactly with math/big and then rounded with round-to-nearest-even (RNE),
-// the rounding mode STAUB's translation uses.
+// represented by their raw bit patterns, and every operation rounds with
+// round-to-nearest-even (RNE), the rounding mode STAUB's translation uses.
+//
+// Each operation picks one of two paths from its operands' format, and
+// both give the same bits. A format whose pattern fits a uint64 with
+// SB ≤ 60 (Float16/32/64 and every sort STAUB's translation sizes) runs
+// on a word kernel that computes on machine words, SoftFloat style
+// (word.go). Wider formats compute exactly with math/big and round once;
+// that path is also the reference the word kernel is tested against.
 package fp
 
 import (
@@ -67,6 +73,15 @@ func (v Value) Bits() *big.Int { return new(big.Int).Set(v.bits) }
 // FromBits returns the value of the given format with raw bit pattern
 // bits. Bits beyond the format width are ignored.
 func FromBits(f Format, bits *big.Int) Value {
+	if f.wordSized() && bits.Sign() >= 0 && bits.BitLen() <= 64 {
+		return f.fromPattern(bits.Uint64() & (^uint64(0) >> (64 - f.TotalBits())))
+	}
+	return fromBitsBig(f, bits)
+}
+
+// fromBitsBig is FromBits on math/big: the path for wider formats and
+// out-of-range patterns, and the word path's reference.
+func fromBitsBig(f Format, bits *big.Int) Value {
 	mask := new(big.Int).Lsh(big.NewInt(1), uint(f.TotalBits()))
 	mask.Sub(mask, big.NewInt(1))
 	b := new(big.Int).And(bits, mask)
@@ -95,6 +110,9 @@ func (f Format) maxExpField() *big.Int {
 
 // IsNaN reports whether the value is a NaN.
 func (v Value) IsNaN() bool {
+	if v.fmt.wordSized() {
+		return v.pattern()&^v.fmt.signBit() > v.fmt.infMag()
+	}
 	_, e, m := v.components()
 	return e.Cmp(v.fmt.maxExpField()) == 0 && m.Sign() != 0
 }
@@ -102,6 +120,10 @@ func (v Value) IsNaN() bool {
 // IsInf reports whether the value is an infinity; sign < 0 checks for -oo,
 // sign > 0 for +oo, sign == 0 for either.
 func (v Value) IsInf(sign int) bool {
+	if f := v.fmt; f.wordSized() {
+		w := v.pattern()
+		return w&^f.signBit() == f.infMag() && (sign == 0 || (sign < 0) == (w&f.signBit() != 0))
+	}
 	s, e, m := v.components()
 	if e.Cmp(v.fmt.maxExpField()) != 0 || m.Sign() != 0 {
 		return false
@@ -118,18 +140,27 @@ func (v Value) IsInf(sign int) bool {
 
 // IsZero reports whether the value is +0 or -0.
 func (v Value) IsZero() bool {
+	if v.fmt.wordSized() {
+		return v.pattern()&^v.fmt.signBit() == 0
+	}
 	_, e, m := v.components()
 	return e.Sign() == 0 && m.Sign() == 0
 }
 
 // IsFinite reports whether the value is neither NaN nor infinite.
 func (v Value) IsFinite() bool {
+	if v.fmt.wordSized() {
+		return v.pattern()&^v.fmt.signBit() < v.fmt.infMag()
+	}
 	_, e, _ := v.components()
 	return e.Cmp(v.fmt.maxExpField()) != 0
 }
 
 // Signbit reports whether the sign bit is set.
 func (v Value) Signbit() bool {
+	if v.fmt.wordSized() {
+		return v.pattern()&v.fmt.signBit() != 0
+	}
 	s, _, _ := v.components()
 	return s == 1
 }
@@ -137,6 +168,15 @@ func (v Value) Signbit() bool {
 // Rat returns the exact rational value. ok is false for NaN and infinities.
 // Both zeros return an exact zero.
 func (v Value) Rat() (r *big.Rat, ok bool) {
+	if v.fmt.wordSized() {
+		return v.fmt.ratWord(v.pattern())
+	}
+	return v.ratBig()
+}
+
+// ratBig is Rat on math/big: the path for wider formats and the word
+// path's reference.
+func (v Value) ratBig() (*big.Rat, bool) {
 	s, e, m := v.components()
 	f := v.fmt
 	if e.Cmp(f.maxExpField()) == 0 {

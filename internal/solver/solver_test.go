@@ -184,3 +184,21 @@ func TestFormatModelDeterministic(t *testing.T) {
 		t.Errorf("FormatModel = %q, want %q", got, want)
 	}
 }
+
+// TestFPEqualityNaNSign: (fp.neg NaN) is NaN, since the theory has one
+// NaN, so the first script is unsat (x = 0 makes x/x NaN) and must not
+// come back sat, and the second is sat.
+func TestFPEqualityNaNSign(t *testing.T) {
+	c := parse(t, `
+		(declare-fun x () (_ FloatingPoint 8 24))
+		(assert (fp.eq x (fp #b0 #b00000000 #b00000000000000000000000)))
+		(assert (not (= (fp.neg (fp.div RNE x x)) (fp.div RNE x x))))
+		(check-sat)`)
+	if r := Solve(c, Options{WorkBudget: 40_000, Profile: Prima}); r.Status == status.Sat {
+		t.Errorf("negated-NaN script: status sat with model %v, want not sat", r.Model)
+	}
+	c = parse(t, `(assert (= (fp.neg (_ NaN 8 24)) (_ NaN 8 24)))(check-sat)`)
+	if r := Solve(c, Options{WorkBudget: 40_000, Profile: Prima}); r.Status != status.Sat {
+		t.Errorf("(= (fp.neg NaN) NaN): status %v, want sat", r.Status)
+	}
+}
