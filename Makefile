@@ -67,10 +67,12 @@ differential:
 # sat-diff is the CDCL differential gate: random CNF instances against a
 # brute-force oracle across every solver configuration (default settings,
 # frequent DB reduction, preprocessing, variable elimination),
-# SolveAssuming against fresh copies, and the activation-literal
-# retirement pattern — all under the race detector.
+# SolveAssuming against fresh copies, the activation-literal retirement
+# pattern, and clones solved concurrently with their originals (same
+# status, model and Stats; the race detector proves Clone copies every
+# array the search writes) — all under the race detector.
 sat-diff:
-	$(GO) test -race -count=1 -run 'TestSATDiff' ./internal/sat
+	$(GO) test -race -count=1 -run 'TestSATDiff|TestCloneSolvesAlike' ./internal/sat
 
 # cube-diff is the cube-and-conquer differential gate: across the harness
 # corpus, cube-solve must reproduce every decided sequential verdict

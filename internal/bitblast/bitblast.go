@@ -184,8 +184,10 @@ func Solve(c *smt.Constraint, configure func(*sat.Solver)) (sat.Status, eval.Ass
 	// trajectory unpredictably (order-of-magnitude conflict swings in
 	// both directions), while subsumption and self-subsuming resolution
 	// shrink the clause database without touching the trajectory's
-	// variance. Callers who want BVE can run s.Preprocess themselves via
-	// configure before Encode adds clauses, or on a solver they own.
+	// variance. Callers who want BVE must build the solver and Blaster
+	// themselves and run Preprocess with VarElim after Encode: configure
+	// sees the solver before any clause exists, where Preprocess has
+	// nothing to eliminate.
 	s.Preprocess(sat.PreprocessOptions{})
 	if s.Interrupted() {
 		return sat.Unknown, nil, nil

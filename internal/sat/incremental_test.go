@@ -71,6 +71,26 @@ func TestSolveAssumingBasic(t *testing.T) {
 	}
 }
 
+// TestRepeatedAssumptionLevels: each assumption opens its own decision
+// level, a repeated or already-implied one too, so decision levels can
+// outnumber the variables. LBD computation must index by level, not by
+// variable count.
+func TestRepeatedAssumptionLevels(t *testing.T) {
+	s := New()
+	pigeonhole(s, 6, 5)
+	a := PosLit(s.NewVar())
+	as := make([]Lit, 100)
+	for i := range as {
+		as[i] = a
+	}
+	if got := s.SolveAssuming(as...); got != Unsat {
+		t.Fatalf("SolveAssuming(100 × a) = %v, want Unsat", got)
+	}
+	if core := s.FailedAssumptions(); len(core) != 0 {
+		t.Fatalf("failed core %v, want empty: PHP(6,5) is unsat outright", core)
+	}
+}
+
 // TestFailedAssumptionCoreIsRelevant checks the final-conflict analysis
 // excludes assumptions the refutation never touched.
 func TestFailedAssumptionCoreIsRelevant(t *testing.T) {

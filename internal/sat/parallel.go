@@ -76,7 +76,7 @@ next:
 	for _, imp := range pending {
 		out := imp.Lits[:0]
 		for _, l := range imp.Lits {
-			if s.vars[l.Var()].elim {
+			if s.flags[l.Var()].elim {
 				continue next
 			}
 			switch s.litValue(l) {
@@ -128,7 +128,7 @@ func (s *Solver) TopActiveVars(n int) []int {
 	}
 	cand := make([]int, 0, len(s.vars))
 	for v := range s.vars {
-		if s.vars[v].elim {
+		if s.flags[v].elim {
 			continue
 		}
 		if s.assigns[PosLit(v)] != lUndef && s.vars[v].level == 0 {
@@ -137,7 +137,7 @@ func (s *Solver) TopActiveVars(n int) []int {
 		cand = append(cand, v)
 	}
 	sort.SliceStable(cand, func(i, j int) bool {
-		ai, aj := s.vars[cand[i]].act, s.vars[cand[j]].act
+		ai, aj := s.act[cand[i]], s.act[cand[j]]
 		if ai != aj {
 			return ai > aj
 		}
@@ -168,7 +168,10 @@ func (s *Solver) Clone() *Solver {
 		clauses:     append([]cref(nil), s.clauses...),
 		learnts:     append([]cref(nil), s.learnts...),
 		watches:     make([][]watcher, len(s.watches)),
-		vars:        append([]varData(nil), s.vars...),
+		vars:        append([]varInfo(nil), s.vars...),
+		act:         append([]float64(nil), s.act...),
+		heapIdx:     append([]int32(nil), s.heapIdx...),
+		flags:       append([]varFlags(nil), s.flags...),
 		assigns:     append([]lbool(nil), s.assigns...),
 		trail:       append([]Lit(nil), s.trail...),
 		qhead:       s.qhead,
@@ -179,14 +182,13 @@ func (s *Solver) Clone() *Solver {
 		ok:          s.ok,
 		rng:         rand.New(rand.NewSource(1)),
 		ReduceFirst: s.ReduceFirst,
-		elimValue:   append([]bool(nil), s.elimValue...),
 		RandomFreq:  s.RandomFreq,
 		Deadline:    s.Deadline,
 		interrupted: s.interrupted,
 		seen:        make([]bool, len(s.seen)),
 	}
-	for i := range s.watches {
-		n.watches[i] = append([]watcher(nil), s.watches[i]...)
+	for i, ws := range s.watches {
+		n.watches[i] = append(n.carveWatches(), ws...)
 	}
 	n.elimStack = make([]elimEntry, len(s.elimStack))
 	for i, e := range s.elimStack {
@@ -197,6 +199,6 @@ func (s *Solver) Clone() *Solver {
 		n.elimStack[i] = elimEntry{v: e.v, clauses: cls}
 	}
 	n.order.s = n
-	n.order.heap = append([]int(nil), s.order.heap...)
+	n.order.heap = append([]int32(nil), s.order.heap...)
 	return n
 }

@@ -151,21 +151,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestCloneSolvesAlike checks a clone reproduces the original's verdict
-// on a nontrivial instance — same clauses, same numbering, independent
-// machinery.
-func TestCloneSolvesAlike(t *testing.T) {
-	s := New()
-	pigeonhole(s, 6, 5)
-	c := s.Clone()
-	if got := c.Solve(); got != Unsat {
-		t.Fatalf("clone Solve() = %v, want Unsat", got)
-	}
-	if got := s.Solve(); got != Unsat {
-		t.Fatalf("original Solve() = %v, want Unsat", got)
-	}
-}
-
 // TestTopActiveVars checks ranking candidates: level-0-fixed variables
 // are excluded, the count is capped, and n ≤ 0 yields nothing.
 func TestTopActiveVars(t *testing.T) {

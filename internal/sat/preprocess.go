@@ -160,32 +160,56 @@ func litSig(l Lit) uint64 { return 1 << (uint64(l) % 64) }
 
 func (p *preprocessor) init() {
 	s := p.s
-	// Copy the problem clauses out of the arena: the working set mutates
-	// freely (strengthening, deletion, resolvent adds) and commit rebuilds
-	// the arena from whatever survives.
+	// Copy the problem clauses out of the arena into one backing array,
+	// each clause capped at its own length: the working set mutates
+	// freely (strengthening in place, deletion, resolvent adds) and commit
+	// rebuilds the arena from whatever survives.
+	total, maxLen := 0, 0
+	for _, c := range s.clauses {
+		total += s.clsSize(c)
+		maxLen = max(maxLen, s.clsSize(c))
+	}
+	lits := make([]Lit, 0, total)
 	p.cls = make([][]Lit, len(s.clauses))
 	p.sig = make([]uint64, len(p.cls))
-	p.occ = make([][]int, len(s.watches))
 	p.inQ = make([]bool, len(p.cls))
+	occN := make([]int, len(s.watches))
 	for i, c := range s.clauses {
-		lits := append([]Lit(nil), s.clsLits(c)...)
-		p.cls[i] = lits
+		start := len(lits)
+		lits = append(lits, s.clsLits(c)...)
+		p.cls[i] = lits[start:len(lits):len(lits)]
 		var sig uint64
-		for _, l := range lits {
+		for _, l := range p.cls[i] {
 			sig |= litSig(l)
-			p.occ[l] = append(p.occ[l], i)
+			occN[l]++
 		}
 		p.sig[i] = sig
 	}
-	// Seed the queue shortest-first: small clauses subsume the most.
-	p.queue = make([]int, len(p.cls))
-	for i := range p.queue {
-		p.queue[i] = i
+	// Occurrence lists: counted first, then filled in clause order, each a
+	// capped window of one backing array.
+	occ := make([]int, total)
+	p.occ = make([][]int, len(s.watches))
+	for l, n := range occN {
+		p.occ[l], occ = occ[:0:n], occ[n:]
 	}
-	sort.SliceStable(p.queue, func(a, b int) bool {
-		return len(p.cls[p.queue[a]]) < len(p.cls[p.queue[b]])
-	})
-	for _, i := range p.queue {
+	for i, c := range p.cls {
+		for _, l := range c {
+			p.occ[l] = append(p.occ[l], i)
+		}
+	}
+	// Seed the queue shortest-first, clause order within a length (a
+	// stable bucket sort): small clauses subsume the most.
+	next := make([]int, maxLen+2)
+	for _, c := range p.cls {
+		next[len(c)+1]++
+	}
+	for n := 1; n < len(next); n++ {
+		next[n] += next[n-1]
+	}
+	p.queue = make([]int, len(p.cls))
+	for i, c := range p.cls {
+		p.queue[next[len(c)]] = i
+		next[len(c)]++
 		p.inQ[i] = true
 	}
 }
@@ -392,9 +416,8 @@ func (p *preprocessor) eliminate(opts PreprocessOptions) {
 	s := p.s
 	type cand struct{ v, occur int }
 	var cands []cand
-	for v := range s.vars {
-		vd := &s.vars[v]
-		if vd.frozen || vd.elim || s.assigns[PosLit(v)] != lUndef {
+	for v, f := range s.flags {
+		if f.frozen || f.elim || s.assigns[PosLit(v)] != lUndef {
 			continue
 		}
 		n := len(p.occ[PosLit(v)]) + len(p.occ[NegLit(v)])
@@ -459,7 +482,7 @@ func (p *preprocessor) eliminate(opts PreprocessOptions) {
 			p.cls[j] = nil
 		}
 		s.elimStack = append(s.elimStack, entry)
-		s.vars[v].elim = true
+		s.flags[v].elim = true
 		s.Stats.Eliminated++
 		for _, r := range resolvents {
 			p.addClause(r)
@@ -500,22 +523,15 @@ func resolve(pc, nc []Lit, v int) (out []Lit, taut bool) {
 // propagates any units produced during preprocessing.
 func (p *preprocessor) commit() {
 	s := p.s
-	// Learnt headers and literals must survive the arena rebuild; stage
-	// them before resetting.
-	type learntSave struct {
-		lits []Lit
-		lbd  int32
-		act  float32
-		prot bool
+	// Learnt clauses, headers included, must survive the arena rebuild;
+	// stage them in one buffer before resetting.
+	size := 0
+	for _, c := range s.learnts {
+		size += hdrWords + s.clsSize(c)
 	}
-	saved := make([]learntSave, len(s.learnts))
-	for i, c := range s.learnts {
-		saved[i] = learntSave{
-			lits: append([]Lit(nil), s.clsLits(c)...),
-			lbd:  s.clsLBD(c),
-			act:  s.clsAct(c),
-			prot: s.clsProtect(c),
-		}
+	saved := make([]Lit, 0, size)
+	for _, c := range s.learnts {
+		saved = append(saved, s.arena[c:int(c)+hdrWords+s.clsSize(c)]...)
 	}
 	s.arena = s.arena[:0]
 	s.clauses = s.clauses[:0]
@@ -525,12 +541,11 @@ func (p *preprocessor) commit() {
 		}
 	}
 	s.learnts = s.learnts[:0]
-	for _, sv := range saved {
-		c := s.alloc(sv.lits, true)
-		s.setLBD(c, sv.lbd)
-		s.setAct(c, sv.act)
-		s.setProtect(c, sv.prot)
-		s.learnts = append(s.learnts, c)
+	for len(saved) > 0 {
+		n := hdrWords + int(saved[0])>>flagBits
+		s.learnts = append(s.learnts, cref(len(s.arena)))
+		s.arena = append(s.arena, saved[:n]...)
+		saved = saved[n:]
 	}
 	// Preprocessing runs at level 0 with trail reasons already cleared by
 	// Simplify; clear defensively so no reason survives pointing into the
@@ -585,7 +600,7 @@ func (s *Solver) extendModel() {
 				break
 			}
 		}
-		s.elimValue[e.v] = val
+		s.flags[e.v].elimVal = val
 	}
 }
 
@@ -593,8 +608,8 @@ func (s *Solver) extendModel() {
 // reconstructed values for eliminated variables.
 func (s *Solver) modelLit(l Lit) bool {
 	v := l.Var()
-	if s.vars[v].elim {
-		return s.elimValue[v] != l.Sign()
+	if f := s.flags[v]; f.elim {
+		return f.elimVal != l.Sign()
 	}
 	return (s.assigns[PosLit(v)] == lTrue) != l.Sign()
 }

@@ -18,6 +18,20 @@
 // the GC graph — no write barriers on watcher writes, near-zero scan
 // cost. Freed clauses leave holes that compactArena reclaims at level-0
 // maintenance points (Simplify, Preprocess).
+//
+// Per-variable state is split by access pattern: the {level, reason}
+// pair that propagation, conflict analysis and backtracking touch is
+// eight bytes a variable, VSIDS reads a dense activity array and a
+// heap-position array, and the flags propagation never reads (saved
+// phase, elimination, freezing) sit in an array of their own. Each
+// literal's watch list starts with watchInit slots carved from a shared
+// block of watchBlock watchers, so a formula costs one allocation per
+// block instead of a list grown from nil per literal. The trade-off is
+// memory: a list that outgrows its slots moves to an array of its own,
+// and the slots it leaves are held with their block until the solver is
+// dropped. AddClause and conflict analysis work in buffers reused across
+// calls, and the arrays a formula builds one element at a time double
+// when they move (see grow).
 package sat
 
 import (
@@ -27,6 +41,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Lit is a literal: variable index v (from NewVar) with polarity encoded
@@ -90,18 +105,20 @@ const crefUndef cref = -1
 // Arena clause layout: header of hdrWords words at the cref, literals
 // after it.
 //
-//	arena[c+0]  size<<flagBits | learnedFlag | protectFlag
+//	arena[c+0]  size<<flagBits | learnedFlag | protectFlag | deletedFlag
 //	arena[c+1]  LBD at learning time, updated on the fly (learnts)
 //	arena[c+2]  activity (float32 bits)
 //	arena[c+3:] the literals
 const (
 	hdrWords    = 3
-	flagBits    = 2
+	flagBits    = 3
 	learnedFlag = 1
 	// protectFlag grants one reduceDB reprieve; set when conflict
 	// analysis observes the clause's LBD improving (the clause is pulling
 	// its weight even if its original LBD was poor).
 	protectFlag = 2
+	// deletedFlag marks a learned clause dropLearnts is removing.
+	deletedFlag = 4
 )
 
 // glueLBD is the glue tier boundary: learned clauses with LBD at or below
@@ -142,9 +159,23 @@ func (s *Solver) alloc(lits []Lit, learned bool) cref {
 	if learned {
 		meta |= learnedFlag
 	}
-	s.arena = append(s.arena, meta, 0, 0)
+	s.arena = append(grow(s.arena, hdrWords+len(lits)), meta, 0, 0)
 	s.arena = append(s.arena, lits...)
 	return c
+}
+
+// grow returns xs with room for n more elements, doubling its capacity
+// when it has to move. Past 256 elements append grows by about 1.25x, so
+// an array built one element at a time allocates some five times its
+// final size and copies four; doubling allocates about two and copies
+// one.
+func grow[T any](xs []T, n int) []T {
+	if len(xs)+n <= cap(xs) {
+		return xs
+	}
+	out := make([]T, len(xs), max(2*cap(xs), len(xs)+n))
+	copy(out, xs)
+	return out
 }
 
 // watcher is one watch-list entry: eight bytes, no pointers. A negative
@@ -161,15 +192,27 @@ const (
 	watcherMask = ^watcherBin
 )
 
-type varData struct {
-	level   int32
-	reason  cref
-	act     float64
+// watchInit is the watch capacity each literal starts with, carved from
+// a shared block of watchBlock watchers (see carveWatches).
+const (
+	watchInit  = 4
+	watchBlock = 2048
+)
+
+// varInfo is the per-variable state propagation, conflict analysis and
+// backtracking read and write: eight bytes, eight variables a cache line.
+type varInfo struct {
+	level  int32
+	reason cref
+}
+
+// varFlags are a variable's booleans that propagation never reads.
+type varFlags struct {
 	phase   bool // saved phase
 	polInit bool
 	elim    bool // removed by bounded variable elimination
+	elimVal bool // value reconstructed for an eliminated variable
 	frozen  bool // exempt from variable elimination (see Freeze)
-	heapIdx int32
 }
 
 // LBDBuckets is the size of the learning-time LBD histogram in Stats:
@@ -211,8 +254,15 @@ type Solver struct {
 	clauses []cref
 	learnts []cref
 	watches [][]watcher // indexed by literal
+	// watchSlab is the uncarved tail of the current watch block.
+	watchSlab []watcher
 
-	vars     []varData
+	// Per-variable state, one array per access pattern.
+	vars    []varInfo
+	act     []float64 // VSIDS activity
+	heapIdx []int32   // position in order.heap, -1 when absent
+	flags   []varFlags
+
 	assigns  []lbool // per-literal truth value, indexed by Lit
 	trail    []Lit
 	trailLim []int
@@ -243,9 +293,8 @@ type Solver struct {
 	lbdTick int64
 
 	// elimStack records bounded variable elimination in order, for model
-	// reconstruction after Sat; elimValue holds reconstructed values.
+	// reconstruction after Sat.
 	elimStack []elimEntry
-	elimValue []bool
 
 	// RandomFreq is the probability of a random branching decision in
 	// [0, 1); a small positive value makes the search robust against
@@ -285,8 +334,11 @@ type Solver struct {
 
 	Stats Stats
 
-	seen     []bool
+	seen []bool
+	// analyzeT and addBuf are scratch: the learnt clause under
+	// construction and AddClause's simplified copy, reused across calls.
 	analyzeT []Lit
+	addBuf   []Lit
 
 	// assumptions holds the literals of the current SolveAssuming call;
 	// each occupies its own decision level below all search decisions.
@@ -326,21 +378,36 @@ func (s *Solver) NumClauses() int { return len(s.clauses) }
 // NumLearnts returns the number of learned clauses currently retained.
 func (s *Solver) NumLearnts() int { return len(s.learnts) }
 
-// MemoryBytes estimates the solver's retained heap: the clause arena,
-// watch lists, per-variable bookkeeping, and the clause reference lists.
-// It is an accounting figure for session memory budgets — capacity-based
-// where capacity is what the GC actually holds (a popped arena still
-// pins its backing array), and deliberately ignoring small fixed-size
-// fields. It must stay cheap: callers invoke it after every check.
+// MemoryBytes is the solver's retained heap, for session memory budgets:
+// the capacity of every array the solver holds — the clause arena and
+// reference lists, each literal's watch list and the watch block's
+// uncarved tail, the per-variable and per-literal arrays, the trail and
+// the elimination stack. Capacity is what the GC actually holds (a popped
+// arena still pins its backing array). Per-call scratch buffers and
+// fixed-size fields are left out. It must stay cheap: callers invoke it
+// after every check.
 func (s *Solver) MemoryBytes() int64 {
-	n := int64(cap(s.arena)) * 4
-	for i := range s.watches {
-		n += int64(cap(s.watches[i])) * 8 // watcher = {cref, blocker}
+	n := sliceBytes(s.arena) + sliceBytes(s.clauses) + sliceBytes(s.learnts) +
+		sliceBytes(s.watches) + sliceBytes(s.watchSlab) +
+		sliceBytes(s.vars) + sliceBytes(s.act) + sliceBytes(s.heapIdx) + sliceBytes(s.flags) +
+		sliceBytes(s.seen) + sliceBytes(s.order.heap) + sliceBytes(s.assigns) +
+		sliceBytes(s.trail) + sliceBytes(s.trailLim) + sliceBytes(s.lbdSeen) + sliceBytes(s.elimStack)
+	for _, ws := range s.watches {
+		n += sliceBytes(ws)
 	}
-	n += int64(len(s.vars)) * 48 // varData + assigns + heap/order share
-	n += int64(cap(s.clauses)+cap(s.learnts)) * 4
-	n += int64(cap(s.trail)) * 4
+	for _, e := range s.elimStack {
+		n += sliceBytes(e.clauses)
+		for _, c := range e.clauses {
+			n += sliceBytes(c)
+		}
+	}
 	return n
+}
+
+// sliceBytes is the size of the backing array xs holds.
+func sliceBytes[T any](xs []T) int64 {
+	var elem T
+	return int64(cap(xs)) * int64(unsafe.Sizeof(elem))
 }
 
 // compactArena rewrites the arena with only the clauses reachable from
@@ -446,13 +513,29 @@ func (s *Solver) Simplify() {
 // NewVar creates a new variable and returns its index.
 func (s *Solver) NewVar() int {
 	v := len(s.vars)
-	s.vars = append(s.vars, varData{heapIdx: -1, reason: crefUndef})
-	s.assigns = append(s.assigns, lUndef, lUndef)
-	s.watches = append(s.watches, nil, nil)
-	s.seen = append(s.seen, false)
-	s.elimValue = append(s.elimValue, false)
+	s.vars = append(grow(s.vars, 1), varInfo{reason: crefUndef})
+	s.act = append(grow(s.act, 1), 0)
+	s.heapIdx = append(grow(s.heapIdx, 1), -1)
+	s.flags = append(grow(s.flags, 1), varFlags{})
+	s.assigns = append(grow(s.assigns, 2), lUndef, lUndef)
+	s.watches = append(grow(s.watches, 2), s.carveWatches(), s.carveWatches())
+	s.seen = append(grow(s.seen, 1), false)
 	s.order.push(v)
 	return v
+}
+
+// carveWatches returns an empty watch list whose first watchInit slots
+// come from the shared block, so most literals never allocate one of
+// their own. A list that outgrows its slots moves to a heap array of its
+// own; the slots it leaves stay with the block until the solver is
+// dropped.
+func (s *Solver) carveWatches() []watcher {
+	if len(s.watchSlab) < watchInit {
+		s.watchSlab = make([]watcher, watchBlock)
+	}
+	ws := s.watchSlab[:0:watchInit]
+	s.watchSlab = s.watchSlab[watchInit:]
+	return ws
 }
 
 // Freeze exempts v from bounded variable elimination. Callers must freeze
@@ -460,7 +543,7 @@ func (s *Solver) NewVar() int {
 // AddClause after a Preprocess with variable elimination enabled:
 // elimination only preserves equisatisfiability, so new constraints over
 // an eliminated variable would be unsound.
-func (s *Solver) Freeze(v int) { s.vars[v].frozen = true }
+func (s *Solver) Freeze(v int) { s.flags[v].frozen = true }
 
 // AddClause adds a clause over existing variables. It returns false if the
 // solver is already known unsatisfiable at the top level. The solver
@@ -473,9 +556,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	s.backtrack(0)
 	// Simplify: drop duplicate and false literals, detect tautologies.
-	out := lits[:0:0]
+	out := s.addBuf[:0]
 	for _, l := range lits {
-		if s.vars[l.Var()].elim {
+		if s.flags[l.Var()].elim {
 			panic("sat: AddClause over an eliminated variable (Freeze it before Preprocess)")
 		}
 		switch s.litValue(l) {
@@ -502,6 +585,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			out = append(out, l)
 		}
 	}
+	s.addBuf = out
 	switch len(out) {
 	case 0:
 		s.ok = false
@@ -518,7 +602,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		return true
 	}
 	c := s.alloc(out, false)
-	s.clauses = append(s.clauses, c)
+	s.clauses = append(grow(s.clauses, 1), c)
 	s.attach(c)
 	return true
 }
@@ -539,8 +623,8 @@ func (s *Solver) litValue(l Lit) lbool { return s.assigns[l] }
 // Eliminated variables report the value reconstructed from their saved
 // clauses (see Preprocess).
 func (s *Solver) Value(v int) bool {
-	if s.vars[v].elim {
-		return s.elimValue[v]
+	if f := s.flags[v]; f.elim {
+		return f.elimVal
 	}
 	return s.assigns[PosLit(v)] == lTrue
 }
@@ -556,9 +640,7 @@ func (s *Solver) enqueue(l Lit, reason cref) bool {
 	}
 	s.assigns[l] = lTrue
 	s.assigns[l^1] = lFalse
-	vd := &s.vars[l.Var()]
-	vd.level = int32(s.decisionLevel())
-	vd.reason = reason
+	s.vars[l.Var()] = varInfo{level: int32(s.decisionLevel()), reason: reason}
 	s.trail = append(s.trail, l)
 	return true
 }
@@ -643,10 +725,13 @@ func (s *Solver) propagate() cref {
 	return crefUndef
 }
 
+// analyze derives the first-UIP learnt clause of conflict confl, with
+// the asserting literal first and a literal of the backjump level second.
+// The clause lives in the analyzeT buffer, valid until the next call.
 func (s *Solver) analyze(confl cref) (learnt []Lit, backLevel int) {
 	pathC := 0
 	var p Lit = -1
-	learnt = append(learnt, 0) // reserve slot for the asserting literal
+	learnt = append(s.analyzeT[:0], 0) // reserve slot for the asserting literal
 	idx := len(s.trail) - 1
 
 	for {
@@ -693,22 +778,25 @@ func (s *Solver) analyze(confl cref) (learnt []Lit, backLevel int) {
 		confl = s.vars[v].reason
 	}
 	learnt[0] = p.Not()
+	s.analyzeT = learnt
 
 	// Minimize: remove literals implied by the rest (cheap
-	// self-subsumption). learnt[:1:1] forces the appends below onto a
-	// fresh backing array so the original set stays intact for the
-	// redundancy checks.
-	minimized := learnt[:1:1]
-	for _, q := range learnt[1:] {
-		r := s.vars[q.Var()].reason
-		if r == crefUndef || !s.redundant(q, r, learnt) {
-			minimized = append(minimized, q)
+	// self-subsumption). The seen marks now cover exactly the variables of
+	// learnt[1:] and must stay set until every check is done: kept
+	// literals move forward in order, and removed ones are swapped behind
+	// them so the loop below still clears their marks.
+	kept := 1
+	for i := 1; i < len(learnt); i++ {
+		q := learnt[i]
+		if r := s.vars[q.Var()].reason; r == crefUndef || !s.redundant(q, r) {
+			learnt[i], learnt[kept] = learnt[kept], q
+			kept++
 		}
 	}
 	for _, q := range learnt {
 		s.seen[q.Var()] = false
 	}
-	learnt = minimized
+	learnt = learnt[:kept]
 
 	// Compute backtrack level: second-highest level in the clause.
 	backLevel = 0
@@ -726,23 +814,12 @@ func (s *Solver) analyze(confl cref) (learnt []Lit, backLevel int) {
 }
 
 // redundant reports whether literal q's reason clause is subsumed by the
-// learnt set (all its other literals already appear or are level 0).
-func (s *Solver) redundant(q Lit, r cref, learnt []Lit) bool {
+// learnt set: each of its other literals is at level 0 or in learnt[1:].
+// Both sides are false literals, so a literal is in learnt[1:] exactly
+// when analyze left its variable marked seen.
+func (s *Solver) redundant(q Lit, r cref) bool {
 	for _, l := range s.clsLits(r) {
-		if l == q.Not() {
-			continue
-		}
-		if s.vars[l.Var()].level == 0 {
-			continue
-		}
-		found := false
-		for _, m := range learnt[1:] {
-			if m == l {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if v := l.Var(); l != q.Not() && !s.seen[v] && s.vars[v].level != 0 {
 			return false
 		}
 	}
@@ -757,12 +834,13 @@ func (s *Solver) backtrack(level int) {
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		l := s.trail[i]
 		v := l.Var()
-		s.vars[v].phase = !l.Sign()
-		s.vars[v].polInit = true
+		f := &s.flags[v]
+		f.phase = !l.Sign()
+		f.polInit = true
 		s.assigns[l] = lUndef
 		s.assigns[l^1] = lUndef
 		s.vars[v].reason = crefUndef
-		if s.vars[v].heapIdx < 0 {
+		if s.heapIdx[v] < 0 {
 			s.order.push(v)
 		}
 	}
@@ -772,31 +850,31 @@ func (s *Solver) backtrack(level int) {
 }
 
 func (s *Solver) bumpVar(v int) {
-	s.vars[v].act += s.varInc
-	if s.vars[v].act > 1e100 {
-		for i := range s.vars {
-			s.vars[i].act *= 1e-100
+	s.act[v] += s.varInc
+	if s.act[v] > 1e100 {
+		for i := range s.act {
+			s.act[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
 	}
-	if s.vars[v].heapIdx >= 0 {
-		s.order.up(int(s.vars[v].heapIdx))
+	if s.heapIdx[v] >= 0 {
+		s.order.up(int(s.heapIdx[v]))
 	}
 }
 
 // clauseLBD counts the distinct nonzero decision levels among lits — the
 // clause's literal block distance (Audemard & Simon). One stamped pass:
-// no clearing, no allocation on the hot path.
+// no clearing, no allocation on the hot path. lbdSeen is indexed by
+// level, which is not bounded by the variable count: a repeated or
+// already implied assumption still opens a level of its own.
 func (s *Solver) clauseLBD(lits []Lit) int {
-	if len(s.lbdSeen) <= len(s.vars) {
-		grown := make([]int64, len(s.vars)+1)
-		copy(grown, s.lbdSeen)
-		s.lbdSeen = grown
-	}
 	s.lbdTick++
 	n := 0
 	for _, l := range lits {
 		lv := s.vars[l.Var()].level
+		if int(lv) >= len(s.lbdSeen) {
+			s.lbdSeen = append(s.lbdSeen, make([]int64, int(lv)+1-len(s.lbdSeen))...)
+		}
 		if lv > 0 && s.lbdSeen[lv] != s.lbdTick {
 			s.lbdSeen[lv] = s.lbdTick
 			n++
@@ -854,7 +932,7 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 		return Unsat
 	}
 	for _, a := range assumptions {
-		if s.vars[a.Var()].elim {
+		if s.flags[a.Var()].elim {
 			panic("sat: assumption over an eliminated variable (Freeze it before Preprocess)")
 		}
 	}
@@ -1025,11 +1103,7 @@ func (s *Solver) search(conflictBudget int64) Status {
 		}
 		s.Stats.Decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
-		phase := s.vars[v].phase
-		if !s.vars[v].polInit {
-			phase = false
-		}
-		if phase {
+		if f := s.flags[v]; f.polInit && f.phase {
 			s.enqueue(PosLit(v), crefUndef)
 		} else {
 			s.enqueue(NegLit(v), crefUndef)
@@ -1042,13 +1116,13 @@ func (s *Solver) pickBranchVar() int {
 	// mentions them, and their model values come from reconstruction.
 	if s.RandomFreq > 0 && s.rng.Float64() < s.RandomFreq && len(s.vars) > 0 {
 		v := s.rng.Intn(len(s.vars))
-		if s.assigns[PosLit(v)] == lUndef && !s.vars[v].elim {
+		if s.assigns[PosLit(v)] == lUndef && !s.flags[v].elim {
 			return v
 		}
 	}
 	for s.order.size() > 0 {
 		v := s.order.pop()
-		if s.assigns[PosLit(v)] == lUndef && !s.vars[v].elim {
+		if s.assigns[PosLit(v)] == lUndef && !s.flags[v].elim {
 			return v
 		}
 	}
@@ -1081,15 +1155,9 @@ func (s *Solver) reduceDBGlue() {
 		return
 	}
 	s.Stats.Reductions++
-	locked := map[cref]bool{}
-	for _, l := range s.trail {
-		if r := s.vars[l.Var()].reason; r != crefUndef && s.clsLearned(r) {
-			locked[r] = true
-		}
-	}
 	var cands []cref
 	for _, c := range s.learnts {
-		if s.clsSize(c) <= 2 || s.clsLBD(c) <= glueLBD || locked[c] {
+		if s.clsSize(c) <= 2 || s.clsLBD(c) <= glueLBD || s.locked(c) {
 			continue
 		}
 		if s.clsProtect(c) {
@@ -1107,6 +1175,14 @@ func (s *Solver) reduceDBGlue() {
 	s.dropLearnts(cands[:len(cands)/2])
 }
 
+// locked reports whether clause c (longer than two literals) is the
+// reason of an assignment on the trail. Propagation always implies a long
+// clause's first literal, and backtracking clears the reasons it undoes,
+// so only the first literal's variable can hold c as its reason.
+func (s *Solver) locked(c cref) bool {
+	return s.vars[s.arena[int(c)+hdrWords].Var()].reason == c
+}
+
 // dropLearnts removes the given learned clauses and rebuilds the watch
 // lists over the survivors. The arena slots leak until the next
 // compaction point (Simplify or Preprocess).
@@ -1114,13 +1190,12 @@ func (s *Solver) dropLearnts(drop []cref) {
 	if len(drop) == 0 {
 		return
 	}
-	dropSet := make(map[cref]bool, len(drop))
 	for _, c := range drop {
-		dropSet[c] = true
+		s.arena[c] |= deletedFlag
 	}
 	kept := s.learnts[:0]
 	for _, c := range s.learnts {
-		if dropSet[c] {
+		if s.arena[c]&deletedFlag != 0 {
 			continue
 		}
 		kept = append(kept, c)
@@ -1138,31 +1213,32 @@ func (s *Solver) dropLearnts(drop []cref) {
 	}
 }
 
-// varHeap is a max-heap over variable activity.
+// varHeap is a max-heap of variables over the solver's activity array;
+// the solver's heapIdx array records each variable's position.
 type varHeap struct {
 	s    *Solver
-	heap []int
+	heap []int32
 }
 
 func (h *varHeap) size() int { return len(h.heap) }
 
 func (h *varHeap) less(i, j int) bool {
-	return h.s.vars[h.heap[i]].act > h.s.vars[h.heap[j]].act
+	return h.s.act[h.heap[i]] > h.s.act[h.heap[j]]
 }
 
 func (h *varHeap) swap(i, j int) {
 	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.s.vars[h.heap[i]].heapIdx = int32(i)
-	h.s.vars[h.heap[j]].heapIdx = int32(j)
+	h.s.heapIdx[h.heap[i]] = int32(i)
+	h.s.heapIdx[h.heap[j]] = int32(j)
 }
 
 func (h *varHeap) push(v int) {
-	if h.s.vars[v].heapIdx >= 0 {
+	if h.s.heapIdx[v] >= 0 {
 		return
 	}
-	h.heap = append(h.heap, v)
+	h.heap = append(grow(h.heap, 1), int32(v))
 	i := len(h.heap) - 1
-	h.s.vars[v].heapIdx = int32(i)
+	h.s.heapIdx[v] = int32(i)
 	h.up(i)
 }
 
@@ -1201,9 +1277,9 @@ func (h *varHeap) pop() int {
 	last := len(h.heap) - 1
 	h.swap(0, last)
 	h.heap = h.heap[:last]
-	h.s.vars[v].heapIdx = -1
+	h.s.heapIdx[v] = -1
 	if len(h.heap) > 0 {
 		h.down(0)
 	}
-	return v
+	return int(v)
 }

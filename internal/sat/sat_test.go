@@ -540,7 +540,7 @@ func TestPreprocessCounters(t *testing.T) {
 		s.AddClause(NegLit(x), PosLit(z))
 		s.Freeze(x)
 		s.Preprocess(PreprocessOptions{VarElim: true})
-		if s.vars[x].elim {
+		if s.flags[x].elim {
 			t.Error("frozen variable was eliminated")
 		}
 	})
@@ -557,7 +557,7 @@ func TestEliminatedVarGuards(t *testing.T) {
 		s.AddClause(NegLit(x), PosLit(z))
 		s.AddClause(PosLit(y), NegLit(z))
 		s.Preprocess(PreprocessOptions{VarElim: true})
-		if !s.vars[x].elim {
+		if !s.flags[x].elim {
 			t.Skip("x not eliminated under this policy")
 		}
 		return s, x
