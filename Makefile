@@ -45,7 +45,11 @@ fuzz:
 # per-round reference (same statuses, same widths) and the stateful
 # session tier to per-prefix fresh replay (byte-identical verdict
 # sequences across the incremental-script corpus, under default and
-# non-default refinement strategies), the exhaustive FP search's lazy
+# non-default refinement strategies), the bit-blaster's one multiplier
+# routine to the evaluator and exact arithmetic (bvmul, bvsmulo, bvudiv,
+# bvurem and the signed and unsigned 2w-bit products on every operand pair
+# at widths 1 to 6, one-shot and in a session round), the exhaustive FP
+# search's lazy
 # candidate enumeration to the eager candidate list (same candidates,
 # byte-identical verdicts, models and node counts on translated benchgen
 # instances), and intsolver's int64 nonlinear kernel to the big.Rat
@@ -58,7 +62,7 @@ fuzz:
 # race detector.
 differential:
 	$(GO) test -race -count=1 -run 'TestRefinementDifferentialIncrementalVsFresh' ./internal/core
-	$(GO) test -race -count=1 -run 'TestSessionMatchesFresh' ./internal/bitblast
+	$(GO) test -race -count=1 -run 'TestSessionMatchesFresh|TestMultiplierExhaustive' ./internal/bitblast
 	$(GO) test -race -count=1 -run 'TestSessionDifferential' ./internal/session
 	$(GO) test -race -count=1 -run 'TestLazyCandidatesMatchEager|TestSolveMatchesEagerOnBenchgen' ./internal/fpsolver
 	$(GO) test -race -short -count=1 -run 'TestKernelMatchesReference|TestKernelFallbacksMatchReference' ./internal/intsolver

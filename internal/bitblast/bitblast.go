@@ -6,7 +6,13 @@
 // Every bitvector term becomes a vector of literals; every boolean term a
 // single literal. Gates perform constant folding against the two constant
 // literals, so constraints with literal-heavy structure shrink during
-// construction.
+// construction, and every gate that survives folding is structurally
+// hashed: an AND, XOR or multiplexer over the same operand literals is
+// encoded once. One-shot encodings and incremental Session rounds build
+// gates through that one path; a Session only keeps its cache across
+// rounds. Products, signed or unsigned, come from one w-row array
+// multiplier (Baugh–Wooley for signed operands), so an overflow guard and
+// the multiplication it protects share their gates through the cache.
 package bitblast
 
 import (
@@ -27,16 +33,25 @@ type Blaster struct {
 	bits  map[*smt.Term][]sat.Lit
 	bools map[*smt.Term]sat.Lit
 	tLit  sat.Lit // literal fixed true
-	// prods caches signed full-width products by operand terms so the
-	// bvsmulo overflow guard and the bvmul it protects share one
-	// multiplier circuit.
-	prods map[[2]*smt.Term][]sat.Lit
+	// gates is the structural gate cache every and2, xor2 and mux goes
+	// through. A one-shot blaster owns its cache; a session round uses the
+	// session's, so later rounds reuse the gates earlier rounds built.
+	gates *gateCache
 	// sess, when non-nil, makes this blaster one round of an incremental
 	// Session: constraint variables resolve to the session's persistent
-	// bit vectors, assertion clauses are guarded by the round's activation
-	// literal, and gates are memoized in the session's structural cache.
+	// bit vectors and assertion clauses are guarded by the round's
+	// activation literal.
 	sess *Session
 }
+
+// gateCache maps each gate encoded so far to its output literal. Every
+// lookup that misses adds an entry, so the misses are len(m).
+type gateCache struct {
+	m    map[gateKey]sat.Lit
+	hits int64
+}
+
+func newGateCache() *gateCache { return &gateCache{m: map[gateKey]sat.Lit{}} }
 
 // gateOp tags entries of the structural gate cache.
 type gateOp uint8
@@ -61,7 +76,7 @@ func New(s *sat.Solver) *Blaster {
 		s:     s,
 		bits:  map[*smt.Term][]sat.Lit{},
 		bools: map[*smt.Term]sat.Lit{},
-		prods: map[[2]*smt.Term][]sat.Lit{},
+		gates: newGateCache(),
 	}
 	t := s.NewVar()
 	b.tLit = sat.PosLit(t)
@@ -263,24 +278,10 @@ func (b *Blaster) and2(x, y sat.Lit) sat.Lit {
 	case x == y.Not():
 		return b.fLit()
 	}
-	if b.sess != nil {
-		if x > y {
-			x, y = y, x
-		}
-		return b.sess.gate(gateKey{gateAnd, x, y, -1}, func() sat.Lit { return b.mkAnd(x, y) })
+	if x > y {
+		x, y = y, x
 	}
-	return b.mkAnd(x, y)
-}
-
-// mkAnd emits the Tseitin definition of a fresh AND output. The three
-// clauses define the fresh literal in terms of its operands, so they are
-// sound in every round of a session and are never guarded.
-func (b *Blaster) mkAnd(x, y sat.Lit) sat.Lit {
-	o := b.fresh()
-	b.s.AddClause(o.Not(), x)
-	b.s.AddClause(o.Not(), y)
-	b.s.AddClause(o, x.Not(), y.Not())
-	return o
+	return b.gate(gateKey{gateAnd, x, y, -1})
 }
 
 func (b *Blaster) or2(x, y sat.Lit) sat.Lit {
@@ -302,24 +303,10 @@ func (b *Blaster) xor2(x, y sat.Lit) sat.Lit {
 	case x == y.Not():
 		return b.tLit
 	}
-	if b.sess != nil {
-		if x > y {
-			x, y = y, x
-		}
-		return b.sess.gate(gateKey{gateXor, x, y, -1}, func() sat.Lit { return b.mkXor(x, y) })
+	if x > y {
+		x, y = y, x
 	}
-	return b.mkXor(x, y)
-}
-
-// mkXor emits the Tseitin definition of a fresh XOR output (unguarded;
-// see mkAnd).
-func (b *Blaster) mkXor(x, y sat.Lit) sat.Lit {
-	o := b.fresh()
-	b.s.AddClause(o.Not(), x, y)
-	b.s.AddClause(o.Not(), x.Not(), y.Not())
-	b.s.AddClause(o, x, y.Not())
-	b.s.AddClause(o, x.Not(), y)
-	return o
+	return b.gate(gateKey{gateXor, x, y, -1})
 }
 
 func (b *Blaster) eq2(x, y sat.Lit) sat.Lit { return b.xor2(x, y).Not() }
@@ -334,20 +321,38 @@ func (b *Blaster) mux(s, x, y sat.Lit) sat.Lit {
 	case x == y:
 		return x
 	}
-	if b.sess != nil {
-		return b.sess.gate(gateKey{gateMux, s, x, y}, func() sat.Lit { return b.mkMux(s, x, y) })
-	}
-	return b.mkMux(s, x, y)
+	return b.gate(gateKey{gateMux, s, x, y})
 }
 
-// mkMux emits the Tseitin definition of a fresh s?x:y output (unguarded;
-// see mkAnd).
-func (b *Blaster) mkMux(s, x, y sat.Lit) sat.Lit {
+// gate returns the output literal of k: the cached one when an earlier
+// encoding (or session round) built the same gate, otherwise a fresh
+// literal with its Tseitin definition. The definition clauses constrain
+// only the fresh output in terms of the operands, so they are sound in
+// every round of a session and are never guarded.
+func (b *Blaster) gate(k gateKey) sat.Lit {
+	if o, ok := b.gates.m[k]; ok {
+		b.gates.hits++
+		return o
+	}
 	o := b.fresh()
-	b.s.AddClause(s.Not(), x.Not(), o)
-	b.s.AddClause(s.Not(), x, o.Not())
-	b.s.AddClause(s, y.Not(), o)
-	b.s.AddClause(s, y, o.Not())
+	x, y, z := k.a, k.b, k.c
+	switch k.op {
+	case gateAnd:
+		b.s.AddClause(o.Not(), x)
+		b.s.AddClause(o.Not(), y)
+		b.s.AddClause(o, x.Not(), y.Not())
+	case gateXor:
+		b.s.AddClause(o.Not(), x, y)
+		b.s.AddClause(o.Not(), x.Not(), y.Not())
+		b.s.AddClause(o, x, y.Not())
+		b.s.AddClause(o, x.Not(), y)
+	case gateMux: // o = x ? y : z
+		b.s.AddClause(x.Not(), y.Not(), o)
+		b.s.AddClause(x.Not(), y, o.Not())
+		b.s.AddClause(x, z.Not(), o)
+		b.s.AddClause(x, z, o.Not())
+	}
+	b.gates.m[k] = o
 	return o
 }
 
@@ -369,8 +374,9 @@ func (b *Blaster) bigOr(ls []sat.Lit) sat.Lit {
 
 // fullAdder returns (sum, carry) of x + y + cin.
 func (b *Blaster) fullAdder(x, y, cin sat.Lit) (sum, cout sat.Lit) {
-	sum = b.xor2(b.xor2(x, y), cin)
-	cout = b.or2(b.and2(x, y), b.and2(cin, b.xor2(x, y)))
+	p := b.xor2(x, y)
+	sum = b.xor2(p, cin)
+	cout = b.or2(b.and2(x, y), b.and2(cin, p))
 	return sum, cout
 }
 
@@ -423,21 +429,37 @@ func (b *Blaster) muxVec(s sat.Lit, x, y []sat.Lit) []sat.Lit {
 	return out
 }
 
-// mulVec returns the low len(x) bits of x*y (shift-and-add).
-func (b *Blaster) mulVec(x, y []sat.Lit) []sat.Lit {
+// mul returns the low n bits (n ≤ 2w) of the product of the w-bit
+// vectors x and y, built as one w-row array: row i is y_i·x shifted left
+// by i, added into an n-bit ripple-carry accumulator. Signed operands use
+// Baugh–Wooley: the partial products that carry exactly one sign bit are
+// complemented, and the accumulator starts at 2^w + 2^(2w−1) mod 2^(2w),
+// which turns the unsigned sum of the rows into the two's-complement
+// product. Unsigned operands need neither. Constant folding trims each row
+// to the columns it reaches, and the low n bits of a wider product are
+// the same gates, so a truncated product and a full one over the same
+// operands share them through the gate cache.
+func (b *Blaster) mul(x, y []sat.Lit, n int, signed bool) []sat.Lit {
 	w := len(x)
-	acc := b.constVec(w, big.NewInt(0))
+	k := new(big.Int)
+	if signed {
+		k.SetBit(k, w, 1)
+		k.Add(k, new(big.Int).Lsh(big.NewInt(1), uint(2*w-1)))
+	}
+	acc := b.constVec(n, k)
+	row := make([]sat.Lit, n)
 	for i := 0; i < w; i++ {
-		// partial = (x << i) & y_i, truncated to w bits
-		partial := make([]sat.Lit, w)
-		for j := 0; j < w; j++ {
-			if j < i {
-				partial[j] = b.fLit()
-			} else {
-				partial[j] = b.and2(x[j-i], y[i])
-			}
+		for j := range row {
+			row[j] = b.fLit()
 		}
-		acc, _ = b.addVec(acc, partial, b.fLit())
+		for j := 0; j < w && i+j < n; j++ {
+			pp := b.and2(x[j], y[i])
+			if signed && (i == w-1) != (j == w-1) {
+				pp = pp.Not()
+			}
+			row[i+j] = pp
+		}
+		acc, _ = b.addVec(acc, row, b.fLit())
 	}
 	return acc
 }
@@ -484,49 +506,6 @@ func (b *Blaster) zext(x []sat.Lit, w int) []sat.Lit {
 	return out
 }
 
-// sext sign-extends x to width w.
-func (b *Blaster) sext(x []sat.Lit, w int) []sat.Lit {
-	out := make([]sat.Lit, w)
-	copy(out, x)
-	for i := len(x); i < w; i++ {
-		out[i] = x[len(x)-1]
-	}
-	return out
-}
-
-// cachedSignedFull returns the signed full product of the two operand
-// terms, memoized so guard and product share the circuit. The cache is
-// keyed on the unordered operand pair.
-func (b *Blaster) cachedSignedFull(tx, ty *smt.Term, x, y []sat.Lit) []sat.Lit {
-	key := [2]*smt.Term{tx, ty}
-	if tx.ID() > ty.ID() {
-		key = [2]*smt.Term{ty, tx}
-	}
-	if full, ok := b.prods[key]; ok {
-		return full
-	}
-	full := b.mulFull(x, y, true)
-	b.prods[key] = full
-	// Register both argument orders implicitly via the canonical key; the
-	// bvmul lookup canonicalizes the same way.
-	b.prods[[2]*smt.Term{tx, ty}] = full
-	b.prods[[2]*smt.Term{ty, tx}] = full
-	return full
-}
-
-// mulFull returns the full 2w-bit product of sign- or zero-extended
-// operands.
-func (b *Blaster) mulFull(x, y []sat.Lit, signed bool) []sat.Lit {
-	w2 := 2 * len(x)
-	var xe, ye []sat.Lit
-	if signed {
-		xe, ye = b.sext(x, w2), b.sext(y, w2)
-	} else {
-		xe, ye = b.zext(x, w2), b.zext(y, w2)
-	}
-	return b.mulVec(xe, ye)
-}
-
 // imply asserts cond -> l.
 func (b *Blaster) imply(cond, l sat.Lit) {
 	if b.isT(cond) {
@@ -561,7 +540,7 @@ func (b *Blaster) udivVec(x, y []sat.Lit) (q, r []sat.Lit) {
 	yIsZero := b.eqVec(y, zero)
 
 	// Division case: x == y*q + r (computed at 2w so nothing wraps), r < y.
-	prod := b.mulFull(y, q, false)
+	prod := b.mul(y, q, 2*w, false)
 	sum, _ := b.addVec(prod, b.zext(r, 2*w), b.fLit())
 	xw := b.zext(x, 2*w)
 	b.implyEqVec(yIsZero.Not(), sum, xw)
@@ -808,7 +787,7 @@ func (b *Blaster) overflow(t *smt.Term) (sat.Lit, error) {
 		flipped := b.xor2(diff[w-1], x[w-1])
 		return b.and2(diffSign, flipped), nil
 	case smt.OpBVSMulO:
-		prod := b.cachedSignedFull(t.Args[0], t.Args[1], x, y)
+		prod := b.mul(x, y, 2*w, true)
 		// Overflow iff bits w-1 .. 2w-1 are not all equal (the value does
 		// not fit in w signed bits).
 		ref := prod[w-1]
@@ -903,15 +882,9 @@ func (b *Blaster) bvTermUncached(t *smt.Term) ([]sat.Lit, error) {
 	case smt.OpBVSub:
 		return fold(b.subVec), nil
 	case smt.OpBVMul:
-		if len(t.Args) == 2 {
-			// The truncated product is the low half of the signed full
-			// product, which an overflow guard on the same operands has
-			// typically already built.
-			if full, ok := b.prods[[2]*smt.Term{t.Args[0], t.Args[1]}]; ok {
-				return full[:len(args[0])], nil
-			}
-		}
-		return fold(b.mulVec), nil
+		// Built signed, as the low half of what a bvsmulo guard on the
+		// same operands builds, so the two share every gate.
+		return fold(func(x, y []sat.Lit) []sat.Lit { return b.mul(x, y, len(x), true) }), nil
 	case smt.OpBVUDiv:
 		q, _ := b.udivVec(args[0], args[1])
 		return q, nil

@@ -343,3 +343,101 @@ func ExampleSolve() {
 	fmt.Println(st, new(big.Int).Mod(vv, big.NewInt(256)))
 	// Output: sat 49
 }
+
+// TestMultiplierExhaustive checks the one multiplier routine on every
+// operand pair at widths 1 to 6. The operands are free variables, so no
+// gate folds away; each pair solves a clone of the encoding with the
+// operand bits fixed by unit clauses. bvmul, bvsmulo, bvudiv and bvurem
+// are checked against the evaluator, and the signed and unsigned 2w-bit
+// products against exact arithmetic, through a one-shot Blaster and
+// through a one-round Session (solved under its activation literal).
+func TestMultiplierExhaustive(t *testing.T) {
+	for w := 1; w <= 6; w++ {
+		c := smt.NewConstraint("QF_BV")
+		b := c.Builder
+		x := c.MustDeclare("x", smt.BitVecSort(w))
+		y := c.MustDeclare("y", smt.BitVecSort(w))
+		ops := []smt.Op{smt.OpBVMul, smt.OpBVSMulO, smt.OpBVUDiv, smt.OpBVURem}
+		outs := make([]*smt.Term, len(ops))
+		for i, op := range ops {
+			sort := smt.BitVecSort(w)
+			if op == smt.OpBVSMulO {
+				sort = smt.BoolSort
+			}
+			outs[i] = c.MustDeclare(fmt.Sprintf("r%d", i), sort)
+			c.MustAssert(b.Eq(outs[i], b.MustApply(op, x, y)))
+		}
+		mod := new(big.Int).Lsh(big.NewInt(1), uint(2*w))
+		for _, session := range []bool{false, true} {
+			s := sat.New()
+			var bl *Blaster
+			var guard []sat.Lit
+			if session {
+				sess := NewSession(s)
+				if err := sess.Encode(c); err != nil {
+					t.Fatal(err)
+				}
+				bl, guard = sess.cur, []sat.Lit{sess.act}
+			} else {
+				bl = New(s)
+				if err := bl.Encode(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			xs, ys := bl.bits[x], bl.bits[y]
+			sFull, uFull := bl.mul(xs, ys, 2*w, true), bl.mul(xs, ys, 2*w, false)
+			for av := int64(0); av < 1<<w; av++ {
+				for bvv := int64(0); bvv < 1<<w; bvv++ {
+					r := s.Clone()
+					for i := 0; i < w; i++ {
+						r.AddClause(fixedBit(xs[i], av>>i&1 == 1))
+						r.AddClause(fixedBit(ys[i], bvv>>i&1 == 1))
+					}
+					if st := r.SolveAssuming(guard...); st != sat.Sat {
+						t.Fatalf("w=%d x=%d y=%d session=%v: status %v, want sat", w, av, bvv, session, st)
+					}
+					m := bl.ModelWith(r.Value)
+					xv, yv := bv.NewInt64(w, av), bv.NewInt64(w, bvv)
+					in := eval.Assignment{"x": eval.BVValue(xv), "y": eval.BVValue(yv)}
+					for i, op := range ops {
+						want, err := eval.Term(b.MustApply(op, x, y), in)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := m[outs[i].Name]; got.String() != want.String() {
+							t.Fatalf("w=%d session=%v: %v(%d, %d) = %v, want %v", w, session, op, av, bvv, got, want)
+						}
+					}
+					signed := new(big.Int).Mul(xv.Int(), yv.Int())
+					signed.Mod(signed, mod)
+					if got := bl.vecValue(sFull, r.Value); got.Cmp(signed) != 0 {
+						t.Fatalf("w=%d session=%v: signed 2w product of %d, %d = %v, want %v", w, session, av, bvv, got, signed)
+					}
+					unsigned := new(big.Int).Mul(xv.Uint(), yv.Uint())
+					if got := bl.vecValue(uFull, r.Value); got.Cmp(unsigned) != 0 {
+						t.Fatalf("w=%d session=%v: unsigned 2w product of %d, %d = %v, want %v", w, session, av, bvv, got, unsigned)
+					}
+				}
+			}
+		}
+	}
+}
+
+// fixedBit is the unit literal fixing l to v.
+func fixedBit(l sat.Lit, v bool) sat.Lit {
+	if v {
+		return l
+	}
+	return l.Not()
+}
+
+// vecValue reads a literal vector's unsigned value through val.
+func (b *Blaster) vecValue(ls []sat.Lit, val func(v int) bool) *big.Int {
+	v := new(big.Int)
+	for i, l := range ls {
+		if b.litValWith(l, val) {
+			v.SetBit(v, i, 1)
+		}
+	}
+	return v
+}

@@ -13,10 +13,13 @@ import (
 	"time"
 
 	"staub/internal/benchgen"
+	"staub/internal/bitblast"
 	"staub/internal/core"
 	"staub/internal/harness"
+	"staub/internal/sat"
 	"staub/internal/smt"
 	"staub/internal/solver"
+	"staub/internal/translate"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/blast.golden from the current output")
@@ -99,6 +102,44 @@ func TestBlastGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("got %d lines, want %d", len(gotLines), len(wantLines))
+}
+
+// TestOneGatePath pins one-shot and session encoding to one gate path.
+// Over the golden corpus translated at three widths, a one-round Session
+// must build exactly the gates a one-shot Blaster builds: the two solvers
+// differ by the activation literal alone, and the session's gate misses
+// are the one-shot cache's entries.
+func TestOneGatePath(t *testing.T) {
+	n := 0
+	for _, inst := range blastCorpus(t) {
+		for _, w := range []int{6, 12, 24} {
+			tr, err := translate.IntToBV(inst.c, w)
+			if err != nil {
+				continue
+			}
+			one := sat.New()
+			bl := bitblast.New(one)
+			if err := bl.Encode(tr.Bounded); err != nil {
+				t.Fatal(err)
+			}
+			ss := sat.New()
+			sess := bitblast.NewSession(ss)
+			if err := sess.Encode(tr.Bounded); err != nil {
+				t.Fatal(err)
+			}
+			if ss.NumVars() != one.NumVars()+1 {
+				t.Errorf("%s w%d: session has %d variables, one-shot %d; want one more (the activation literal)",
+					inst.name, w, ss.NumVars(), one.NumVars())
+			}
+			if got, want := sess.Stats().GateMisses, int64(bl.GateCacheLen()); got != want {
+				t.Errorf("%s w%d: session gate misses %d, one-shot cache holds %d gates", inst.name, w, got, want)
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("no corpus instance translated to bitvectors")
+	}
 }
 
 // lbdHist reads the process-wide learning-time LBD histogram back from

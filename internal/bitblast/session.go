@@ -7,9 +7,11 @@
 //   - Constraint variables are persistent per name: the w low bits of a
 //     2w-bit round-N+1 vector are the very literals round N used, so the
 //     solver's saved phases and VSIDS activity keep steering the search.
-//   - Gates are structurally hashed (and2/xor2/mux memoized by operand
-//     literals): the low halves of adders, comparators and multipliers
-//     over shared bits encode once, in whichever round first needs them.
+//   - The structural gate cache every Blaster hashes its gates through
+//     (and2/xor2/mux keyed by operand literals) is the session's, so it
+//     outlives the round: the low halves of adders, comparators and
+//     multipliers over shared bits encode once, in whichever round first
+//     needs them.
 //   - Gate definition clauses introduce only fresh output literals, so
 //     they are sound at every width and are added unguarded, permanently.
 //
@@ -22,6 +24,12 @@
 // clause that depended on them (conflict analysis keeps ¬a_N in such
 // resolvents because a_N is a decision). Learned clauses derived purely
 // from shared structure survive with no guard and keep pruning.
+//
+// Each round is preprocessed once it is encoded, as bitblast.Solve
+// preprocesses a one-shot CNF: retirement only adds the unit ¬a_N and
+// sweeps level 0, and one Preprocess call (subsumption and
+// self-subsuming resolution, no variable elimination) then runs over the
+// retained clauses and the new round together before the search.
 package bitblast
 
 import (
@@ -35,14 +43,16 @@ type SessionStats struct {
 	// Rounds is the number of Encode calls.
 	Rounds int
 	// GateHits and GateMisses count structural gate-cache lookups; a hit
-	// is a gate some earlier point of the session already encoded.
+	// is a gate some earlier point of the session already encoded, and
+	// every miss encodes one gate.
 	GateHits, GateMisses int64
 	// VarsReused counts constraint-variable bit literals resolved to an
 	// earlier round's literals instead of freshly allocated.
 	VarsReused int64
 	// ClausesRetained accumulates, over every round after the first, the
-	// number of clauses (problem + learned) carried into the round alive
-	// rather than re-derived from scratch.
+	// number of clauses (problem + learned) that survive retirement's
+	// level-0 sweep: carried into the round alive rather than re-derived
+	// from scratch.
 	ClausesRetained int64
 }
 
@@ -52,7 +62,7 @@ type SessionStats struct {
 type Session struct {
 	s        *sat.Solver
 	tLit     sat.Lit
-	gates    map[gateKey]sat.Lit
+	gates    *gateCache
 	varBits  map[string][]sat.Lit
 	varBools map[string]sat.Lit
 	act      sat.Lit // current round's activation literal
@@ -65,7 +75,7 @@ type Session struct {
 func NewSession(s *sat.Solver) *Session {
 	se := &Session{
 		s:        s,
-		gates:    map[gateKey]sat.Lit{},
+		gates:    newGateCache(),
 		varBits:  map[string][]sat.Lit{},
 		varBools: map[string]sat.Lit{},
 	}
@@ -79,7 +89,11 @@ func NewSession(s *sat.Solver) *Session {
 func (se *Session) Solver() *sat.Solver { return se.s }
 
 // Stats reports reuse counters accumulated so far.
-func (se *Session) Stats() SessionStats { return se.stats }
+func (se *Session) Stats() SessionStats {
+	st := se.stats
+	st.GateHits, st.GateMisses = se.gates.hits, int64(len(se.gates.m))
+	return st
+}
 
 // MemoryBytes estimates the heap retained by the session's own caches —
 // the structural gate cache and the per-name variable bit maps — on top
@@ -87,7 +101,7 @@ func (se *Session) Stats() SessionStats { return se.stats }
 // Like the solver figure it is an accounting estimate for session
 // budgets, not an exact heap profile.
 func (se *Session) MemoryBytes() int64 {
-	n := int64(len(se.gates)) * 48 // gateKey + literal + bucket overhead
+	n := int64(len(se.gates.m)) * 48 // gateKey + literal + bucket overhead
 	for name, bits := range se.varBits {
 		n += int64(len(name)) + int64(cap(bits))*4 + 48
 	}
@@ -95,33 +109,14 @@ func (se *Session) MemoryBytes() int64 {
 	return n
 }
 
-// gate memoizes one structural gate: a cache hit returns the literal an
-// earlier encoding produced (its definition clauses are already in the
-// solver); a miss runs mk and remembers the output.
-func (se *Session) gate(k gateKey, mk func() sat.Lit) sat.Lit {
-	if o, ok := se.gates[k]; ok {
-		se.stats.GateHits++
-		return o
-	}
-	o := mk()
-	se.gates[k] = o
-	se.stats.GateMisses++
-	return o
-}
-
 // Encode starts a new round: the previous round (if any) is retired by
 // permanently falsifying its activation literal and sweeping the clauses
-// that died with it, then c is encoded under a fresh activation literal.
+// that died with it, then c is encoded under a fresh activation literal
+// and the database is preprocessed.
 func (se *Session) Encode(c *smt.Constraint) error {
 	if se.started {
 		se.s.AddClause(se.act.Not())
-		// Inprocess between rounds: the level-0 sweep inside Preprocess
-		// deletes the retired round's clauses, and subsumption +
-		// self-subsuming resolution (equivalence-preserving, so safe
-		// against the next round re-touching any variable) compact what
-		// survives. Variable elimination stays off: any session variable
-		// can gain clauses in a later round.
-		se.s.Preprocess(sat.PreprocessOptions{})
+		se.s.Simplify()
 		se.stats.ClausesRetained += int64(se.s.NumClauses() + se.s.NumLearnts())
 	}
 	se.act = sat.PosLit(se.s.NewVar())
@@ -131,12 +126,20 @@ func (se *Session) Encode(c *smt.Constraint) error {
 		s:     se.s,
 		bits:  map[*smt.Term][]sat.Lit{},
 		bools: map[*smt.Term]sat.Lit{},
-		prods: map[[2]*smt.Term][]sat.Lit{},
 		tLit:  se.tLit,
+		gates: se.gates,
 		sess:  se,
 	}
 	se.cur = b
-	return b.Encode(c)
+	if err := b.Encode(c); err != nil {
+		return err
+	}
+	// Subsumption and self-subsuming resolution preserve equivalence, so
+	// they are safe against later rounds re-touching any variable and
+	// against retiring this round's guard. Variable elimination stays
+	// off: any session variable can gain clauses in a later round.
+	se.s.Preprocess(sat.PreprocessOptions{})
+	return nil
 }
 
 // Solve decides the current round's constraint under its activation
