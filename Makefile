@@ -48,7 +48,9 @@ fuzz:
 # non-default refinement strategies), the bit-blaster's one multiplier
 # routine to the evaluator and exact arithmetic (bvmul, bvsmulo, bvudiv,
 # bvurem and the signed and unsigned 2w-bit products on every operand pair
-# at widths 1 to 6, one-shot and in a session round), the exhaustive FP
+# at widths 1 to 6, one-shot and in a session round), the bvsmulo guard to
+# exact arithmetic (bvsmulo(x, y) and bvsmulo(x, x) on every operand pair
+# at widths 1 to 8, one-shot and in a session round), the exhaustive FP
 # search's lazy
 # candidate enumeration to the eager candidate list (same candidates,
 # byte-identical verdicts, models and node counts on translated benchgen
@@ -62,7 +64,7 @@ fuzz:
 # race detector.
 differential:
 	$(GO) test -race -count=1 -run 'TestRefinementDifferentialIncrementalVsFresh' ./internal/core
-	$(GO) test -race -count=1 -run 'TestSessionMatchesFresh|TestMultiplierExhaustive' ./internal/bitblast
+	$(GO) test -race -count=1 -run 'TestSessionMatchesFresh|TestMultiplierExhaustive|TestSMulOExhaustive' ./internal/bitblast
 	$(GO) test -race -count=1 -run 'TestSessionDifferential' ./internal/session
 	$(GO) test -race -count=1 -run 'TestLazyCandidatesMatchEager|TestSolveMatchesEagerOnBenchgen' ./internal/fpsolver
 	$(GO) test -race -short -count=1 -run 'TestKernelMatchesReference|TestKernelFallbacksMatchReference' ./internal/intsolver

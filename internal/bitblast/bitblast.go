@@ -11,8 +11,10 @@
 // encoded once. One-shot encodings and incremental Session rounds build
 // gates through that one path; a Session only keeps its cache across
 // rounds. Products, signed or unsigned, come from one w-row array
-// multiplier (Baugh–Wooley for signed operands), so an overflow guard and
-// the multiplication it protects share their gates through the cache.
+// multiplier (Baugh–Wooley for signed operands). The bvsmulo guard is
+// Boolector's and Bitwuzla's smulo encoding: a (w+1)-bit product, whose
+// low w bits are the gates of the bvmul it protects, plus a leading-bit
+// test linear in w.
 package bitblast
 
 import (
@@ -787,15 +789,21 @@ func (b *Blaster) overflow(t *smt.Term) (sat.Lit, error) {
 		flipped := b.xor2(diff[w-1], x[w-1])
 		return b.and2(diffSign, flipped), nil
 	case smt.OpBVSMulO:
-		prod := b.mul(x, y, 2*w, true)
-		// Overflow iff bits w-1 .. 2w-1 are not all equal (the value does
-		// not fit in w signed bits).
-		ref := prod[w-1]
-		var diffs []sat.Lit
-		for i := w; i < 2*w; i++ {
-			diffs = append(diffs, b.xor2(prod[i], ref))
+		// The leading-bit test of Boolector's and Bitwuzla's smulo. With
+		// x̂ᵢ = xᵢ ⊕ x_{w−1} and ŷⱼ = yⱼ ⊕ y_{w−1} (the magnitude bits, one's
+		// complemented when negative), a set pair x̂ᵢ, ŷⱼ with i + j ≥ w−1
+		// puts x·y outside the w-bit range. Without one, |x·y| ≤ 2^w, so
+		// the (w+1)-bit product decides: x·y overflows iff its top two bits
+		// differ. The product's low w bits are the gates bvmul builds over
+		// the same operands.
+		p := b.mul(x, y, w+1, true)
+		ovf := b.xor2(p[w], p[w-1])
+		xHigh := b.fLit() // x̂_{w−1−j} ∨ … ∨ x̂_{w−2}
+		for j := 1; j <= w-2; j++ {
+			xHigh = b.or2(xHigh, b.xor2(x[w-1-j], x[w-1]))
+			ovf = b.or2(ovf, b.and2(b.xor2(y[j], y[w-1]), xHigh))
 		}
-		return b.bigOr(diffs), nil
+		return ovf, nil
 	case smt.OpBVSDivO:
 		minusOne := b.constVec(w, big.NewInt(-1))
 		return b.and2(b.eqVec(x, minVec), b.eqVec(y, minusOne)), nil
@@ -882,8 +890,9 @@ func (b *Blaster) bvTermUncached(t *smt.Term) ([]sat.Lit, error) {
 	case smt.OpBVSub:
 		return fold(b.subVec), nil
 	case smt.OpBVMul:
-		// Built signed, as the low half of what a bvsmulo guard on the
-		// same operands builds, so the two share every gate.
+		// Built signed, as the low w bits of the (w+1)-bit product a
+		// bvsmulo guard on the same operands builds, so the two share
+		// every gate.
 		return fold(func(x, y []sat.Lit) []sat.Lit { return b.mul(x, y, len(x), true) }), nil
 	case smt.OpBVUDiv:
 		q, _ := b.udivVec(args[0], args[1])

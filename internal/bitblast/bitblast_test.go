@@ -423,6 +423,99 @@ func TestMultiplierExhaustive(t *testing.T) {
 	}
 }
 
+// TestSMulOExhaustive checks the bvsmulo guard, bvsmulo(x, y) and
+// bvsmulo(x, x), on every operand pair at widths 1 to 8 against exact
+// arithmetic, through a one-shot Blaster and through a one-round Session.
+// The operands are free variables, so the (w+1)-bit product and the
+// leading-bit chain are really built; each pair is fixed by assumptions
+// on one solver, under which the gates' Tseitin clauses propagate every
+// output without a conflict.
+func TestSMulOExhaustive(t *testing.T) {
+	for w := 1; w <= 8; w++ {
+		c := smt.NewConstraint("QF_BV")
+		b := c.Builder
+		x := c.MustDeclare("x", smt.BitVecSort(w))
+		y := c.MustDeclare("y", smt.BitVecSort(w))
+		rxy := c.MustDeclare("rxy", smt.BoolSort)
+		rxx := c.MustDeclare("rxx", smt.BoolSort)
+		c.MustAssert(b.Eq(rxy, b.MustApply(smt.OpBVSMulO, x, y)))
+		c.MustAssert(b.Eq(rxx, b.MustApply(smt.OpBVSMulO, x, x)))
+		lo := new(big.Int).Neg(new(big.Int).Lsh(big.NewInt(1), uint(w-1)))
+		hi := new(big.Int).Lsh(big.NewInt(1), uint(w-1))
+		overflows := func(p *big.Int) bool { return p.Cmp(lo) < 0 || p.Cmp(hi) >= 0 }
+		for _, session := range []bool{false, true} {
+			s := sat.New()
+			var bl *Blaster
+			var assume []sat.Lit
+			if session {
+				sess := NewSession(s)
+				if err := sess.Encode(c); err != nil {
+					t.Fatal(err)
+				}
+				bl, assume = sess.cur, []sat.Lit{sess.act}
+			} else {
+				bl = New(s)
+				if err := bl.Encode(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			xs, ys := bl.bits[x], bl.bits[y]
+			guard := len(assume)
+			for av := int64(0); av < 1<<w; av++ {
+				for bvv := int64(0); bvv < 1<<w; bvv++ {
+					assume = assume[:guard]
+					for i := 0; i < w; i++ {
+						assume = append(assume, fixedBit(xs[i], av>>i&1 == 1), fixedBit(ys[i], bvv>>i&1 == 1))
+					}
+					if st := s.SolveAssuming(assume...); st != sat.Sat {
+						t.Fatalf("w=%d x=%d y=%d session=%v: status %v, want sat", w, av, bvv, session, st)
+					}
+					xv, yv := bv.NewInt64(w, av).Int(), bv.NewInt64(w, bvv).Int()
+					if got, want := bl.litVal(bl.bools[rxy]), overflows(new(big.Int).Mul(xv, yv)); got != want {
+						t.Fatalf("w=%d session=%v: bvsmulo(%v, %v) = %v, want %v", w, session, xv, yv, got, want)
+					}
+					if got, want := bl.litVal(bl.bools[rxx]), overflows(new(big.Int).Mul(xv, xv)); got != want {
+						t.Fatalf("w=%d session=%v: bvsmulo(%v, %v) = %v, want %v", w, session, xv, xv, got, want)
+					}
+				}
+			}
+			if s.Stats.Conflicts != 0 {
+				t.Errorf("w=%d session=%v: %d conflicts, want 0 (fixed operands must propagate every gate)", w, session, s.Stats.Conflicts)
+			}
+		}
+	}
+}
+
+// TestSMulOGuardSize pins the bvsmulo guard's size: on top of an encoded
+// bvmul over the same free operands it may add at most 12·w variables.
+// A guard that builds its own 2w-bit product adds several times that
+// (749 variables at w = 16).
+func TestSMulOGuardSize(t *testing.T) {
+	vars := func(w int, guarded bool) int {
+		c := smt.NewConstraint("QF_BV")
+		b := c.Builder
+		x := c.MustDeclare("x", smt.BitVecSort(w))
+		y := c.MustDeclare("y", smt.BitVecSort(w))
+		z := c.MustDeclare("z", smt.BitVecSort(w))
+		c.MustAssert(b.Eq(z, b.MustApply(smt.OpBVMul, x, y)))
+		if guarded {
+			c.MustAssert(b.Not(b.MustApply(smt.OpBVSMulO, x, y)))
+		}
+		s := sat.New()
+		if err := New(s).Encode(c); err != nil {
+			t.Fatal(err)
+		}
+		return s.NumVars()
+	}
+	for _, w := range []int{8, 16, 32} {
+		added := vars(w, true) - vars(w, false)
+		t.Logf("w=%d: the guard adds %d variables over bvmul", w, added)
+		if added > 12*w {
+			t.Errorf("w=%d: the bvsmulo guard adds %d variables over bvmul, want at most %d", w, added, 12*w)
+		}
+	}
+}
+
 // fixedBit is the unit literal fixing l to v.
 func fixedBit(l sat.Lit, v bool) sat.Lit {
 	if v {

@@ -71,6 +71,10 @@ func cubeSuiteJobs(t *testing.T, corpus []harness.RefinementInstance) []engine.J
 // cubeRefCache memoizes the clean cube-solve reference verdicts.
 var cubeRefCache = map[int][]status.Status{}
 
+// cubeReferenceStatuses runs the corpus clean and returns its verdicts.
+// It fails unless some instance splits into cubes: where the probe
+// decides every instance, neither cube site is ever reached and every
+// injection in the suite would go unfired.
 func cubeReferenceStatuses(t *testing.T, corpus []harness.RefinementInstance) []status.Status {
 	t.Helper()
 	if cached, ok := cubeRefCache[len(corpus)]; ok {
@@ -79,11 +83,18 @@ func cubeReferenceStatuses(t *testing.T, corpus []harness.RefinementInstance) []
 	chaos.Disable()
 	results := engine.New(0, nil).Run(context.Background(), cubeSuiteJobs(t, corpus))
 	out := make([]status.Status, len(results))
+	split := 0
 	for i, r := range results {
 		if r.Fault != "" || r.Pipeline.Fault != "" {
 			t.Fatalf("%s: clean cube reference run faulted: %+v", corpus[i].Name, r)
 		}
+		if r.Pipeline.Cubes > 0 {
+			split++
+		}
 		out[i] = r.Pipeline.Status
+	}
+	if split == 0 {
+		t.Fatal("no corpus instance split into cubes in the clean reference run: the cube sites would never be reached")
 	}
 	cubeRefCache[len(corpus)] = out
 	return out

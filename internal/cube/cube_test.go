@@ -87,9 +87,13 @@ func TestCubeSolveMatchesSequential(t *testing.T) {
 // timeout to a decided verdict is the feature, and is logged). Across
 // cube workers: the full result — verdict, model, work, cube count —
 // must be byte-identical at 1, 2 and 8 workers, because the worker
-// count may only move the virtual makespan, never the answer.
+// count may only move the virtual makespan, never the answer. At least
+// one instance must split into cubes at 1 worker: a corpus the probe
+// decides whole never reaches the conquer drivers, and then the gate
+// checks nothing.
 func TestCubeDiff(t *testing.T) {
 	ctx := context.Background()
+	split := 0
 	for _, inst := range harness.RefinementCorpus() {
 		t.Run(inst.Name, func(t *testing.T) {
 			c, err := smt.ParseScript(inst.Src)
@@ -121,6 +125,9 @@ func TestCubeDiff(t *testing.T) {
 				}
 				if i == 0 {
 					first = res
+					if res.Cubes > 0 {
+						split++
+					}
 					continue
 				}
 				if res.Status != first.Status {
@@ -137,6 +144,9 @@ func TestCubeDiff(t *testing.T) {
 				}
 			}
 		})
+	}
+	if split == 0 {
+		t.Fatal("no corpus instance split into cubes at jobs=1: the probe decided every one, so no conquer driver ran")
 	}
 }
 
