@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build bench-build test race fuzz differential sat-diff cube-diff overapprox-diff chaos bench serve-smoke session-smoke pool-smoke
+.PHONY: check fmt vet build bench-build test race fuzz differential sat-diff cube-diff overapprox-diff chaos bench serve-smoke session-smoke pool-smoke lines
 
 # check is the CI gate: static checks, build (the benchmark module too),
 # the full suite under the race detector, short fuzz passes over the
@@ -124,6 +124,11 @@ session-smoke:
 # survivors drain cleanly.
 pool-smoke:
 	$(GO) run ./scripts/poolsmoke
+
+# lines prints the non-test Go line count outside bench/, the figure a
+# change's net line delta is stated in. It is not part of check.
+lines:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | xargs cat | wc -l
 
 # bench runs the staub-serve benchmark (bench/README.md): four workloads,
 # end-to-end and per-layer metrics, every verdict oracle-checked. The cube

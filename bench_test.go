@@ -18,7 +18,6 @@ import (
 	"staub/internal/benchgen"
 	"staub/internal/core"
 	"staub/internal/harness"
-	"staub/internal/slot"
 	"staub/internal/smt"
 	"staub/internal/solver"
 	"staub/internal/termination"
@@ -54,7 +53,7 @@ func BenchmarkTable2(b *testing.B) {
 }
 
 // BenchmarkTable3 regenerates the geometric-mean speedup table (Table 3),
-// including the fixed-width ablation and SLOT columns.
+// including the fixed-width ablation and over-approximation columns.
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := benchOptions()
@@ -194,27 +193,6 @@ func BenchmarkTransformOnly(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		if _, _, err := staub.Transform(c, staub.Config{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSlotOptimize isolates the SLOT pass pipeline on a bounded
-// constraint with foldable structure.
-func BenchmarkSlotOptimize(b *testing.B) {
-	src := `(declare-fun x () Int)(declare-fun y () Int)
-(assert (= (+ (* 1 (* x x)) (* 0 y) (* 4 y) 0) (+ 120 (* 2 3))))
-(check-sat)`
-	c, err := staub.ParseScript(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, _, err := staub.Transform(c, staub.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, _, err := slot.Optimize(tr.Bounded); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,7 +13,8 @@
 //
 //	table1    theoretical summary (static)
 //	table2    tractability improvements per logic/profile/mode
-//	table3    geometric-mean speedups with ablations and SLOT
+//	table3    geometric-mean speedups with the fixed-width ablations and
+//	          the over-approximation mode
 //	fig2      fixed-width sweep: cost (2a) and verdict drift (2b)
 //	fig7      scatter CSV of original vs final solving time
 //	fig8      termination-prover client analysis

@@ -26,7 +26,6 @@
 //	-start-width N   start §6.2 refinement at width N instead of inferring
 //	-width-step N    multiply the width by N between refinement rounds
 //	-timeout D       per-solve budget (default 10s)
-//	-slot            apply SLOT compiler optimizations to the bounded form
 //	-portfolio       race STAUB against the unmodified solver (two cores)
 //	-over            over-approximate: linearize nonlinear multiplication
 //	                 and certify a-priori bounds, so a bounded unsat is a
@@ -58,7 +57,6 @@ import (
 	"staub/internal/engine"
 	"staub/internal/sat"
 	"staub/internal/session"
-	"staub/internal/slot"
 	"staub/internal/smt"
 	"staub/internal/solver"
 	"staub/internal/status"
@@ -71,7 +69,6 @@ func main() {
 		startWidth = flag.Int("start-width", 0, "refinement start width (0 = infer via abstract interpretation)")
 		widthStep  = flag.Int("width-step", 0, "width multiplier between refinement rounds (0 = default 2)")
 		timeout    = flag.Duration("timeout", 10*time.Second, "per-solve budget")
-		useSlot    = flag.Bool("slot", false, "apply SLOT optimizations to the bounded constraint")
 		portfolio  = flag.Bool("portfolio", false, "race STAUB against the unmodified solver")
 		over       = flag.Bool("over", false, "run the over-approximation pipeline (sound unsat via linearization and a-priori bounds)")
 		cubeVars   = flag.Int("cube-vars", 0, "cube-and-conquer over 2^N assumption cubes (0 = sequential solve)")
@@ -105,7 +102,6 @@ func main() {
 		FixedWidth:   *width,
 		StartWidth:   *startWidth,
 		WidthStep:    *widthStep,
-		UseSLOT:      *useSlot,
 		Profile:      prof,
 		CubeVars:     *cubeVars,
 		CubeJobs:     *cubeJobs,
@@ -137,7 +133,6 @@ func main() {
 				StartWidth: *startWidth,
 				WidthStep:  *widthStep,
 				Profile:    prof,
-				UseSLOT:    *useSlot,
 			}, *stats))
 		}
 	}
@@ -168,22 +163,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		bounded := tr.Bounded
-		if *useSlot {
-			opt, st, err := slot.Optimize(bounded)
-			if err != nil {
-				fatal(err)
-			}
-			bounded = opt
-			if *stats {
-				fmt.Fprintf(os.Stderr, "; SLOT: %d → %d nodes (%d folded, %d identities, %d reduced)\n",
-					st.NodesBefore, st.NodesAfter, st.Folded, st.Identities, st.Reduced)
-			}
-		}
 		if *stats {
 			fmt.Fprintf(os.Stderr, "; inference root = %d, %s\n", root, tr.Stats())
 		}
-		fmt.Print(bounded.Script())
+		fmt.Print(tr.Bounded.Script())
 		return
 	}
 

@@ -59,7 +59,7 @@ func TestSeedChangesDecisions(t *testing.T) {
 		defer restore()
 		var sb strings.Builder
 		for i := 0; i < 64; i++ {
-			if At("pass:slot") != FaultNone {
+			if At("pass:translate") != FaultNone {
 				sb.WriteByte('1')
 			} else {
 				sb.WriteByte('0')

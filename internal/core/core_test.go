@@ -117,24 +117,6 @@ func TestPipelineFixedWidthTooSmall(t *testing.T) {
 	}
 }
 
-func TestPipelineWithSLOT(t *testing.T) {
-	c := parse(t, `
-		(declare-fun x () Int)
-		(assert (= (+ (* x 4) 0 2 2) 24))
-		(check-sat)`)
-	res := RunPipeline(context.Background(), c, Config{Timeout: 5 * time.Second, UseSLOT: true}, nil)
-	if res.Outcome != OutcomeVerified {
-		t.Fatalf("outcome = %v, want verified", res.Outcome)
-	}
-	if res.Model["x"].Int.Int64() != 5 {
-		t.Errorf("x = %v, want 5", res.Model["x"].Int)
-	}
-	if res.Slot.NodesAfter >= res.Slot.NodesBefore {
-		t.Errorf("SLOT did not shrink the constraint: %d → %d nodes",
-			res.Slot.NodesBefore, res.Slot.NodesAfter)
-	}
-}
-
 func TestBoundRefinementRescuesTightWidths(t *testing.T) {
 	// x² - y² = 201 with x > 90 is solvable only by x=101, y=100 (the
 	// factor pair 1×201); the squares need 15 bits while the largest

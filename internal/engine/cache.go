@@ -31,8 +31,8 @@ func (j Job) Key() string {
 		fmt.Fprintf(h, "|solve|p=%d|t=%d|s=%d|det=%t",
 			c.Profile, c.Timeout, c.Seed, c.Deterministic)
 	default:
-		fmt.Fprintf(h, "|kind=%d|w=%d|t=%d|p=%d|slot=%t|hints=%t|refine=%d|fresh=%t|s=%d|det=%t|lim=%d,%d,%d,%d|trace=%t|sw=%d|ws=%d|cv=%d|cj=%d|cl=%d|over=%t|passes=%s",
-			j.Kind, c.FixedWidth, c.Timeout, c.Profile, c.UseSLOT, c.RangeHints,
+		fmt.Fprintf(h, "|kind=%d|w=%d|t=%d|p=%d|hints=%t|refine=%d|fresh=%t|s=%d|det=%t|lim=%d,%d,%d,%d|trace=%t|sw=%d|ws=%d|cv=%d|cj=%d|cl=%d|over=%t|passes=%s",
+			j.Kind, c.FixedWidth, c.Timeout, c.Profile, c.RangeHints,
 			c.RefineRounds, c.FreshRefine, c.Seed, c.Deterministic,
 			c.Limits.MinWidth, c.Limits.MaxWidth, c.Limits.MaxSig, c.Limits.MaxPrec,
 			c.Trace, c.StartWidth, c.WidthStep,

@@ -145,13 +145,11 @@ func TestCacheKeyDistinguishesConfig(t *testing.T) {
 	}
 	widened := base
 	widened.Config.FixedWidth = 8
-	slotted := base
-	slotted.Config.UseSLOT = true
 	longer := base
 	longer.Config.Timeout = 100 * time.Millisecond
 	over := base
 	over.Config.OverApprox = true
-	variants = append(variants, widened, slotted, longer, over)
+	variants = append(variants, widened, longer, over)
 
 	seen := map[string]int{}
 	for i, v := range variants {

@@ -2,7 +2,7 @@
 // (unbounded) solving against the STAUB pipeline across the generated
 // benchmark corpora and reproduces every table and figure of the
 // evaluation section — tractability improvements (Table 2), geometric-mean
-// speedups with the fixed-width ablation and the SLOT combination
+// speedups with the fixed-width ablation and the over-approximation mode
 // (Table 3), the fixed-width tradeoff sweep (Figure 2), before/after
 // scatter data (Figure 7), and the termination-client summary (Figure 8).
 //
@@ -37,8 +37,6 @@ const (
 	// ModeFixed8 and ModeFixed16 are the paper's fixed-width ablations.
 	ModeFixed8
 	ModeFixed16
-	// ModeSlot chains STAUB inference with the SLOT optimizer.
-	ModeSlot
 	// ModeOver runs the over-approximation pipeline: linearized nonlinear
 	// multiplication plus a-priori bound certificates, whose bounded
 	// unsat is a sound unsat — the only mode that can win with an unsat.
@@ -54,8 +52,6 @@ func (m Mode) String() string {
 		return "Fixed 8-bit"
 	case ModeFixed16:
 		return "Fixed 16-bit"
-	case ModeSlot:
-		return "STAUB+SLOT"
 	case ModeOver:
 		return "STAUB+Over"
 	default:
@@ -110,7 +106,7 @@ func (o Options) withDefaults() Options {
 		o.Profiles = []solver.Profile{solver.Prima, solver.Secunda}
 	}
 	if len(o.Modes) == 0 {
-		o.Modes = []Mode{ModeStaub, ModeFixed8, ModeFixed16, ModeSlot, ModeOver}
+		o.Modes = []Mode{ModeStaub, ModeFixed8, ModeFixed16, ModeOver}
 	}
 	return o
 }
@@ -219,8 +215,6 @@ func modeConfig(m Mode, profile solver.Profile, o Options) core.Config {
 		cfg.FixedWidth = 8
 	case ModeFixed16:
 		cfg.FixedWidth = 16
-	case ModeSlot:
-		cfg.UseSLOT = true
 	case ModeOver:
 		cfg.OverApprox = true
 	}

@@ -94,7 +94,7 @@ func TestTable1Output(t *testing.T) {
 
 func TestTable2And3Render(t *testing.T) {
 	o := smallOptions()
-	o.Modes = []Mode{ModeStaub, ModeFixed8, ModeFixed16, ModeSlot}
+	o.Modes = []Mode{ModeStaub, ModeFixed8, ModeFixed16, ModeOver}
 	records, err := Run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestTable2And3Render(t *testing.T) {
 	buf.Reset()
 	Table3(&buf, records, o.Timeout)
 	out := buf.String()
-	if !strings.Contains(out, "LRA") || !strings.Contains(out, "SLOT") {
+	if !strings.Contains(out, "LRA") || !strings.Contains(out, "Over") {
 		t.Errorf("Table3 malformed:\n%s", out)
 	}
 
@@ -205,7 +205,7 @@ func TestIntervalsScale(t *testing.T) {
 }
 
 func TestModeString(t *testing.T) {
-	if ModeStaub.String() != "STAUB" || ModeSlot.String() != "STAUB+SLOT" {
+	if ModeStaub.String() != "STAUB" || ModeOver.String() != "STAUB+Over" {
 		t.Error("mode names changed")
 	}
 }

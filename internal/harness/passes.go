@@ -23,11 +23,11 @@ type PassRow struct {
 }
 
 // PassesExperiment profiles the pipeline per stage: the refinement corpus
-// runs through three deterministic configurations (plain pipeline,
-// pipeline+SLOT, and the §6.2 refinement loop) with per-stage tracing on,
-// and every span of every run is aggregated by pass name. Jobs are
-// scheduled through the engine like every other experiment, so the traces
-// come from exactly the code path production solves take.
+// runs through two deterministic configurations (plain pipeline and the
+// §6.2 refinement loop) with per-stage tracing on, and every span of
+// every run is aggregated by pass name. Jobs are scheduled through the
+// engine like every other experiment, so the traces come from exactly
+// the code path production solves take.
 func PassesExperiment(ctx context.Context, o Options) ([]PassRow, error) {
 	o = o.withDefaults()
 	var jobs []engine.Job
@@ -42,11 +42,9 @@ func PassesExperiment(ctx context.Context, o Options) ([]PassRow, error) {
 			Deterministic: true,
 			Trace:         true,
 		}
-		slotCfg := base
-		slotCfg.UseSLOT = true
 		refineCfg := base
 		refineCfg.RefineRounds = 3
-		for _, cfg := range []core.Config{base, slotCfg, refineCfg} {
+		for _, cfg := range []core.Config{base, refineCfg} {
 			jobs = append(jobs, engine.Job{Kind: engine.KindPipeline, Constraint: c, Config: cfg})
 		}
 	}
@@ -71,8 +69,7 @@ func PassesExperiment(ctx context.Context, o Options) ([]PassRow, error) {
 	// stages execute.
 	order := []string{
 		pipeline.PassInferBounds, pipeline.PassRangeHints, pipeline.PassTranslate,
-		pipeline.PassSlot, pipeline.PassReduceIntToBV,
-		pipeline.PassBoundedSolve, pipeline.PassVerifyModel,
+		pipeline.PassReduceIntToBV, pipeline.PassBoundedSolve, pipeline.PassVerifyModel,
 	}
 	rows := make([]PassRow, 0, len(agg))
 	for _, name := range order {
@@ -86,7 +83,7 @@ func PassesExperiment(ctx context.Context, o Options) ([]PassRow, error) {
 // PassesPrint renders the per-stage profile with each stage's share of the
 // total deterministic work.
 func PassesPrint(w io.Writer, rows []PassRow) {
-	fmt.Fprintln(w, "Per-stage pipeline profile: refinement corpus under plain, +SLOT and refine configs (deterministic virtual time).")
+	fmt.Fprintln(w, "Per-stage pipeline profile: refinement corpus under plain and refine configs (deterministic virtual time).")
 	fmt.Fprintf(w, "%-14s %6s %12s %12s %7s\n", "pass", "runs", "work-units", "virtual", "share%")
 	var totalWork int64
 	for _, r := range rows {

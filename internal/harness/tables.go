@@ -19,7 +19,7 @@ import (
 // Iterating Record.Modes through it (instead of ranging over the map)
 // keeps floating-point accumulation order — and therefore rendered tables
 // — identical across runs.
-var allModes = []Mode{ModeStaub, ModeFixed8, ModeFixed16, ModeSlot, ModeOver}
+var allModes = []Mode{ModeStaub, ModeFixed8, ModeFixed16, ModeOver}
 
 // Table1 prints the paper's Table 1: the decidability/boundedness summary
 // for the four unbounded logics. The facts are theoretical (Papadimitriou
@@ -196,18 +196,18 @@ func Table3Rows(records map[string][]Record, timeout time.Duration) []Table3Row 
 // Table3 prints the full speedup table.
 func Table3(w io.Writer, records map[string][]Record, timeout time.Duration) {
 	fmt.Fprintln(w, "Table 3. Geometric mean speedups per logic, solver profile and T_pre interval.")
-	fmt.Fprintf(w, "%-5s %-8s %-7s %6s | %5s %8s %8s | %5s %8s %8s | %5s %8s %8s | %8s %8s\n",
+	fmt.Fprintf(w, "%-5s %-8s %-7s %6s | %5s %8s %8s | %5s %8s %8s | %5s %8s %8s | %8s\n",
 		"Logic", "Solver", "T_pre", "Count",
 		"#v8", "v8-spd", "all8",
 		"#v16", "v16-spd", "all16",
-		"#vS", "vS-spd", "allS", "SLOT", "Over")
+		"#vS", "vS-spd", "allS", "Over")
 	for _, row := range Table3Rows(records, timeout) {
-		fmt.Fprintf(w, "%-5s %-8s %-7s %6d | %5d %8.3f %8.3f | %5d %8.3f %8.3f | %5d %8.3f %8.3f | %8.3f %8.3f\n",
+		fmt.Fprintf(w, "%-5s %-8s %-7s %6d | %5d %8.3f %8.3f | %5d %8.3f %8.3f | %5d %8.3f %8.3f | %8.3f\n",
 			shortLogic(row.Logic), row.Profile, row.Interval.Name, row.Count,
 			row.Verified[ModeFixed8], orOne(row.VerSpeed[ModeFixed8]), orOne(row.AllSpeed[ModeFixed8]),
 			row.Verified[ModeFixed16], orOne(row.VerSpeed[ModeFixed16]), orOne(row.AllSpeed[ModeFixed16]),
 			row.Verified[ModeStaub], orOne(row.VerSpeed[ModeStaub]), orOne(row.AllSpeed[ModeStaub]),
-			orOne(row.AllSpeed[ModeSlot]), orOne(row.AllSpeed[ModeOver]))
+			orOne(row.AllSpeed[ModeOver]))
 	}
 }
 

@@ -272,7 +272,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 
 func (h *Histogram) writeText(w io.Writer, name, labels string) error {
 	// The le label joins any series labels: {le="x"} alone, or
-	// {pass="slot",le="x"} when the series is labeled.
+	// {pass="translate",le="x"} when the series is labeled.
 	bucket := func(le string) string {
 		if labels == "" {
 			return fmt.Sprintf("{le=%q}", le)

@@ -262,7 +262,7 @@ func RunSession(ctx context.Context, c *smt.Constraint, cfg Config, deadline tim
 	st.Session = sess
 	res.InferredRoot = st.Root
 	res.Incremental = true
-	roundPasses := MustPasses(PassTranslate, PassSlot, PassBoundedSolve, PassVerifyModel)
+	roundPasses := MustPasses(PassTranslate, PassBoundedSolve, PassVerifyModel)
 	for round := 0; ; round++ {
 		refineRounds.Inc()
 		st.Round = round

@@ -6,7 +6,6 @@ import (
 
 	"staub/internal/absint"
 	"staub/internal/eval"
-	"staub/internal/slot"
 	"staub/internal/smt"
 	"staub/internal/solver"
 	"staub/internal/status"
@@ -17,7 +16,6 @@ func init() {
 	Register(Pass{Name: PassInferBounds, Doc: "classify the theory and select bounded sorts by abstract interpretation", Run: passInferBounds})
 	Register(Pass{Name: PassRangeHints, Doc: "infer per-variable ranges for hint assertions (§6.2)", Run: passRangeHints})
 	Register(Pass{Name: PassTranslate, Doc: "translate the unbounded constraint to the selected bounded sorts", Run: passTranslate})
-	Register(Pass{Name: PassSlot, Doc: "optimize the bounded constraint with the SLOT rewrite rules", Run: passSlot})
 	Register(Pass{Name: PassBoundedSolve, Doc: "solve the bounded constraint under the time/work budget", Run: passBoundedSolve})
 	Register(Pass{Name: PassVerifyModel, Doc: "map the bounded model back and verify it against the original", Run: passVerifyModel})
 }
@@ -168,25 +166,6 @@ func passTranslate(st *State) Verdict {
 	} else {
 		st.SpanNote = tr.FPSort.String()
 	}
-	return Continue
-}
-
-// passSlot optimizes the bounded constraint with the SLOT rewrite rules.
-// Optimizer errors are ignored: the unoptimized form stays valid.
-func passSlot(st *State) Verdict {
-	if !st.Cfg.UseSLOT {
-		st.SpanNote = "skipped"
-		return Continue
-	}
-	opt, stats, err := slot.Optimize(st.Bounded)
-	if err != nil {
-		st.SpanNote = "error: " + err.Error()
-		return Continue
-	}
-	st.Bounded = opt
-	st.Res.Slot = stats
-	st.SpanWork = int64(stats.NodesBefore)
-	st.SpanNote = fmt.Sprintf("%d->%d nodes", stats.NodesBefore, stats.NodesAfter)
 	return Continue
 }
 

@@ -1,6 +1,6 @@
 // Package pipeline is the staged pass framework behind STAUB. Every stage
 // of the paper's Figure 3 pipeline (bound inference, range hints,
-// translation, SLOT optimization, bounded solving, model verification) and
+// translation, bounded solving, model verification) and
 // of the §6.4 width-reduction pipeline is a named Pass with a uniform
 // signature over a shared State; internal/core and internal/reduce are
 // thin assemblies of those passes pulled from one registry. The framework
@@ -40,9 +40,6 @@ type Config struct {
 	Timeout time.Duration
 	// Profile selects the underlying solver profile.
 	Profile solver.Profile
-	// UseSLOT additionally optimizes the bounded constraint with the
-	// SLOT passes before solving (RQ2).
-	UseSLOT bool
 	// RangeHints adds per-variable range assertions from
 	// absint.InferIntPerVar to the translated constraint (the §6.2
 	// per-variable refinement realized without mixed-width operations).
@@ -211,8 +208,8 @@ type State struct {
 	// Translated is the translation result (set by translate).
 	Translated *translate.Result
 	// Bounded is the constraint handed to the bounded solve; translate
-	// sets it and slot may replace it with an optimized form. The
-	// reduce-int2bv pass sets it to the width-reduced constraint.
+	// sets it. The reduce-int2bv pass sets it to the width-reduced
+	// constraint.
 	Bounded *smt.Constraint
 	// ModelBack maps a bounded model back to the original sorts.
 	ModelBack func(eval.Assignment) (eval.Assignment, error)
@@ -276,7 +273,6 @@ const (
 	PassInferBounds   = "infer-bounds"
 	PassRangeHints    = "range-hints"
 	PassTranslate     = "translate"
-	PassSlot          = "slot"
 	PassReduceIntToBV = "reduce-int2bv"
 	PassBoundedSolve  = "bounded-solve"
 	PassCubeSolve     = "cube-solve"
@@ -525,9 +521,6 @@ func Figure3PassNames(cfg Config) []string {
 		names = append(names, PassRangeHints)
 	}
 	names = append(names, PassTranslate)
-	if cfg.UseSLOT {
-		names = append(names, PassSlot)
-	}
 	solve := PassBoundedSolve
 	if cfg.CubeVars > 0 {
 		solve = PassCubeSolve
@@ -536,9 +529,9 @@ func Figure3PassNames(cfg Config) []string {
 }
 
 // OverApproxPassNames is the pass chain RunOverApprox assembles — the
-// over-approximating pipeline. SLOT and cubing do not apply: both operate
-// on bitvector forms the fallback path never produces, and neither can
-// change a verdict the certification argument depends on.
+// over-approximating pipeline. Cubing does not apply: it operates on
+// bitvector forms the fallback path never produces, and it cannot change
+// a verdict the certification argument depends on.
 func OverApproxPassNames(cfg Config) []string {
 	return []string{PassLinearizeNIA, PassInferApriori, PassTranslate, PassBoundedSolve, PassVerifyModel}
 }

@@ -29,7 +29,7 @@ const satSrc = `
 func TestRegistryLookup(t *testing.T) {
 	for _, name := range []string{
 		PassInferBounds, PassRangeHints, PassTranslate,
-		PassSlot, PassBoundedSolve, PassVerifyModel,
+		PassBoundedSolve, PassVerifyModel,
 	} {
 		p, ok := Lookup(name)
 		if !ok {
@@ -63,10 +63,6 @@ func TestFigure3PassNames(t *testing.T) {
 	base := []string{PassInferBounds, PassTranslate, PassBoundedSolve, PassVerifyModel}
 	if got := Figure3PassNames(Config{}); strings.Join(got, ",") != strings.Join(base, ",") {
 		t.Errorf("plain config: %v", got)
-	}
-	withSlot := Figure3PassNames(Config{UseSLOT: true})
-	if !contains(withSlot, PassSlot) {
-		t.Errorf("UseSLOT did not add %q: %v", PassSlot, withSlot)
 	}
 	withHints := Figure3PassNames(Config{RangeHints: true})
 	if !contains(withHints, PassRangeHints) {

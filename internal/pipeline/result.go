@@ -6,7 +6,6 @@ import (
 
 	"staub/internal/bitblast"
 	"staub/internal/eval"
-	"staub/internal/slot"
 	"staub/internal/smt"
 	"staub/internal/status"
 )
@@ -193,8 +192,8 @@ type Result struct {
 	// Model is a verified model of the ORIGINAL constraint.
 	Model eval.Assignment
 	// TTrans, TPost and TCheck are the paper's cost components:
-	// translation (including inference and optional SLOT), bounded
-	// solving, and verification.
+	// translation (including inference), bounded solving, and
+	// verification.
 	TTrans, TPost, TCheck time.Duration
 	// Total is TTrans + TPost + TCheck for the STAUB assemblies, and the
 	// wall-clock run time for the reduction assembly.
@@ -222,8 +221,6 @@ type Result struct {
 	// Reuse carries the incremental session's reuse counters (only
 	// meaningful when Incremental is set).
 	Reuse bitblast.SessionStats
-	// Slot reports optimizer statistics when UseSLOT was set.
-	Slot slot.Stats
 	// Bounded is the transformed constraint (for inspection/emission).
 	Bounded *smt.Constraint
 	// FromWidth and ToWidth record a §6.4 width reduction (reduce

@@ -50,7 +50,7 @@ func TestWireJobRoundTrip(t *testing.T) {
 		{Kind: engine.KindSolve, Constraint: c, Config: core.Config{Profile: solver.Secunda,
 			Timeout: 750 * time.Millisecond, Seed: 3, Deterministic: true}},
 		{Kind: engine.KindPipeline, Constraint: c, Config: core.Config{
-			Timeout: time.Second, Profile: solver.Prima, UseSLOT: true,
+			Timeout: time.Second, Profile: solver.Prima, Trace: true,
 			RefineRounds: 2, Seed: 9, Deterministic: true, StartWidth: 4,
 			WidthStep: 2, CubeVars: 3, CubeJobs: 2, CubeShareLBD: 4, OverApprox: true}},
 		{Kind: engine.KindPortfolio, Constraint: c, Config: core.Config{

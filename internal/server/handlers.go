@@ -22,9 +22,10 @@ import (
 
 // SolveRequest is the decoded body of POST /v1/solve. The constraint is
 // an SMT-LIB 2 script; the remaining knobs mirror the staub CLI flags.
-// Query parameters (mode, profile, timeout, width, slot) override the
-// body fields, so curl users can post a raw .smt2 file and steer the
-// solve from the URL.
+// Query parameters (mode, profile, timeout, width, deterministic, trace,
+// over and the cube knobs) override the body fields, so curl users can
+// post a raw .smt2 file and steer the solve from the URL. Unknown JSON
+// fields and query parameters are ignored.
 type SolveRequest struct {
 	Constraint string `json:"constraint"`
 	// Mode is pipeline (default), portfolio, or solve (the unmodified
@@ -38,8 +39,6 @@ type SolveRequest struct {
 	// Width forces a fixed bit width (0: infer via abstract
 	// interpretation).
 	Width int `json:"width,omitempty"`
-	// SLOT applies the SLOT optimization passes to the bounded form.
-	SLOT bool `json:"slot,omitempty"`
 	// Deterministic switches the solve to virtual-time accounting: the
 	// budget is a deterministic work count instead of a wall-clock
 	// deadline, so the verdict and reported cost are identical across
@@ -203,7 +202,7 @@ func (r *SolveRequest) applyQuery(query url.Values, emptyConstraint bool) error 
 	for _, p := range []struct {
 		name string
 		dst  *bool
-	}{{"slot", &r.SLOT}, {"deterministic", &r.Deterministic}, {"trace", &r.Trace}, {"over", &r.Over}} {
+	}{{"deterministic", &r.Deterministic}, {"trace", &r.Trace}, {"over", &r.Over}} {
 		if v := query.Get(p.name); v != "" {
 			*p.dst = v == "1" || v == "true"
 		}
@@ -272,7 +271,6 @@ func (s *Server) job(c *smt.Constraint, req SolveRequest) engine.Job {
 		Timeout:       s.timeout(time.Duration(req.TimeoutMS) * time.Millisecond),
 		Profile:       prof,
 		FixedWidth:    req.Width,
-		UseSLOT:       req.SLOT,
 		Deterministic: req.Deterministic,
 		Trace:         req.Trace,
 		CubeVars:      req.CubeVars,

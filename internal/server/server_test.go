@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"io"
 	"log"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"sort"
 	"strings"
@@ -109,6 +111,24 @@ func TestSolvePipelineSat(t *testing.T) {
 	}
 	if out.Cost.TotalMS <= 0 {
 		t.Errorf("cost split empty: %+v", out.Cost)
+	}
+
+	// The removed slot knob is an unknown field and query parameter like
+	// any other: ignored, with the verdict of the request without it.
+	for name, resp := range map[string]*http.Response{
+		`"slot":true`: postJSON(t, ts.URL+"/v1/solve", map[string]any{
+			"constraint": satNIA, "timeout_ms": 2000, "deterministic": true, "slot": true}),
+		"?slot=1": postJSON(t, ts.URL+"/v1/solve?slot=1",
+			SolveRequest{Constraint: satNIA, TimeoutMS: 2000, Deterministic: true}),
+	} {
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: code = %d, want 200", name, resp.StatusCode)
+		}
+		got := decodeSolve(t, resp)
+		if got.Status != out.Status || got.Outcome != out.Outcome || !maps.Equal(got.Model, out.Model) {
+			t.Errorf("%s: %s/%s %v, want %s/%s %v", name,
+				got.Status, got.Outcome, got.Model, out.Status, out.Outcome, out.Model)
+		}
 	}
 }
 
@@ -308,12 +328,7 @@ func TestMetricsAndStatsEndpoints(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/solve", SolveRequest{Constraint: satNIA, TimeoutMS: 2000, Deterministic: true})
 	postJSON(t, ts.URL+"/v1/solve", SolveRequest{Constraint: satNIA, TimeoutMS: 2000, Deterministic: true}) // cache hit
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	text := readBody(t, resp)
+	text := scrapeMetrics(t, ts.URL)
 	for _, want := range []string{
 		`staub_solves_total{outcome="verified"} 2`,
 		"staub_cache_hits_total 1",
@@ -328,6 +343,27 @@ func TestMetricsAndStatsEndpoints(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, text)
+		}
+	}
+
+	// Every staub_* family the docs name must be exported. The pool
+	// families register only on a pooled node, so they are checked
+	// against one.
+	var pooled string
+	for _, fam := range documentedFamilies(t) {
+		exposition := text
+		if strings.HasPrefix(fam, "staub_pool_") {
+			if pooled == "" {
+				pooled = scrapeMetrics(t, newCluster(t, 2, nil)[0].url)
+			}
+			exposition = pooled
+		}
+		want := "# TYPE " + fam + " "
+		if prefix, ok := strings.CutSuffix(fam, "*"); ok {
+			want = "# TYPE " + prefix
+		}
+		if !strings.Contains(exposition, want) {
+			t.Errorf("/metrics exports no %s family named in DESIGN.md or README.md", fam)
 		}
 	}
 
@@ -351,6 +387,41 @@ func TestMetricsAndStatsEndpoints(t *testing.T) {
 	if stats.Metrics[`staub_solves_total{outcome="verified"}`] != 2.0 {
 		t.Errorf("stats metrics snapshot missing solves: %v", stats.Metrics)
 	}
+}
+
+// documentedFamilies returns the staub_* metric names DESIGN.md and
+// README.md mention, a trailing * marking a family prefix (staub_cube_*).
+func documentedFamilies(t *testing.T) []string {
+	t.Helper()
+	seen := map[string]bool{}
+	for _, doc := range []string{"../../DESIGN.md", "../../README.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range regexp.MustCompile(`staub_[a-z0-9_]+\*?`).FindAllString(string(b), -1) {
+			seen[m] = true
+		}
+	}
+	if len(seen) == 0 {
+		t.Fatal("the docs name no staub_* metric family")
+	}
+	fams := make([]string, 0, len(seen))
+	for m := range seen {
+		fams = append(fams, m)
+	}
+	sort.Strings(fams)
+	return fams
+}
+
+func scrapeMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	return readBody(t, resp)
 }
 
 func TestHealthzFlipsOnDrain(t *testing.T) {

@@ -57,8 +57,6 @@ type SessionCreateRequest struct {
 	RefineRounds int `json:"refine_rounds,omitempty"`
 	// Profile is prima (default) or secunda.
 	Profile string `json:"profile,omitempty"`
-	// SLOT applies the SLOT optimization passes to bounded forms.
-	SLOT bool `json:"slot,omitempty"`
 	// Deterministic switches checks to virtual-time accounting.
 	Deterministic bool `json:"deterministic,omitempty"`
 	// MemoryBudgetBytes overrides the per-session memory ceiling
@@ -126,7 +124,6 @@ func (s *Server) sessionConfig(req SessionCreateRequest) (session.Config, error)
 		WidthStep:     req.WidthStep,
 		RefineRounds:  req.RefineRounds,
 		Profile:       prof,
-		UseSLOT:       req.SLOT,
 		Deterministic: req.Deterministic,
 		MemoryBudget:  budget,
 		MeasureReplay: req.MeasureReplay,

@@ -59,10 +59,21 @@ func createSession(t *testing.T, ts *httptest.Server, body string) string {
 }
 
 // TestSessionLifecycle drives one conversation end to end over HTTP:
-// create, assert, check, push, assert, check, pop, check, delete.
+// create, assert, check, push, assert, check, pop, check, delete. The
+// removed slot knob is an unknown create field like any other: a session
+// created with it runs the same conversation to the same verdicts.
 func TestSessionLifecycle(t *testing.T) {
+	for name, create := range map[string]string{
+		"plain":     `{"deterministic": true}`,
+		"slot-knob": `{"deterministic": true, "slot": true}`,
+	} {
+		t.Run(name, func(t *testing.T) { sessionLifecycle(t, create) })
+	}
+}
+
+func sessionLifecycle(t *testing.T, create string) {
 	_, ts := newSessionTestServer(t, Config{})
-	id := createSession(t, ts, `{"deterministic": true}`)
+	id := createSession(t, ts, create)
 	base := ts.URL + "/v1/session/" + id
 
 	resp := do(t, "POST", base+"/assert",

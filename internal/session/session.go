@@ -74,8 +74,6 @@ type Config struct {
 	Timeout time.Duration
 	// Profile selects the solver profile.
 	Profile solver.Profile
-	// UseSLOT optimizes bounded constraints before solving.
-	UseSLOT bool
 	// Deterministic switches checks to virtual-time work budgets.
 	Deterministic bool
 	// Limits bounds the sorts bound inference may select.
@@ -382,7 +380,6 @@ func (s *Session) pipelineCfg() pipeline.Config {
 		Limits:        s.cfg.Limits,
 		Timeout:       s.cfg.Timeout,
 		Profile:       s.cfg.Profile,
-		UseSLOT:       s.cfg.UseSLOT,
 		RefineRounds:  s.cfg.RefineRounds,
 		StartWidth:    s.cfg.StartWidth,
 		WidthStep:     s.cfg.WidthStep,

@@ -30,8 +30,8 @@
 // abstract interpretation, the translation, a CDCL SAT solver with a
 // bit-blaster for the bitvector output, a parameterized IEEE-754
 // softfloat engine, exact simplex / branch-and-bound / interval solvers
-// for the unbounded side, a SLOT-style bounded-constraint optimizer, and
-// the full experiment harness behind the cmd/staub-bench tool.
+// for the unbounded side, and the full experiment harness behind the
+// cmd/staub-bench tool.
 package staub
 
 import (
@@ -42,7 +42,6 @@ import (
 	"staub/internal/core"
 	"staub/internal/eval"
 	"staub/internal/pipeline"
-	"staub/internal/slot"
 	"staub/internal/smt"
 	"staub/internal/solver"
 	"staub/internal/status"
@@ -55,8 +54,8 @@ type (
 	// Constraint is a parsed SMT problem.
 	Constraint = smt.Constraint
 	// Config controls the STAUB pipeline: timeout, fixed-width ablation,
-	// SLOT optimization, solver profile, iterative bound refinement
-	// (RefineRounds) and per-variable range hints (RangeHints).
+	// solver profile, iterative bound refinement (RefineRounds) and
+	// per-variable range hints (RangeHints).
 	Config = core.Config
 	// PipelineResult is a completed pipeline run.
 	PipelineResult = core.PipelineResult
@@ -158,13 +157,6 @@ func RunPortfolioCtx(ctx context.Context, c *Constraint, cfg Config) PortfolioRe
 // second result is the raw inferred root width.
 func Transform(c *Constraint, cfg Config) (*translate.Result, int, error) {
 	return core.Transform(c, cfg)
-}
-
-// OptimizeBounded applies the SLOT compiler-optimization passes to a
-// bounded (bitvector / floating-point) constraint.
-func OptimizeBounded(c *Constraint) (*Constraint, slot.Stats, error) {
-	opt, stats, err := slot.Optimize(c)
-	return opt, stats, err
 }
 
 // SolveDirect decides c with the appropriate engine for its theory (the

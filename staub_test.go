@@ -58,13 +58,6 @@ func TestPublicAPITransform(t *testing.T) {
 	if tr.Bounded.NumNodes() == 0 {
 		t.Error("empty bounded constraint")
 	}
-	opt, stats, err := staub.OptimizeBounded(tr.Bounded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt.NumNodes() > stats.NodesBefore {
-		t.Error("optimization grew the constraint")
-	}
 }
 
 func TestPublicAPIPortfolio(t *testing.T) {
