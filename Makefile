@@ -2,10 +2,10 @@ GO ?= go
 
 .PHONY: check fmt vet build bench-build test race fuzz differential sat-diff cube-diff overapprox-diff chaos bench serve-smoke session-smoke pool-smoke lines
 
-# check is the CI gate: static checks, build (the benchmark module too),
-# the full suite under the race detector, short fuzz passes over the
-# SMT-LIB parser, the server request decoder and the FP word kernel, the
-# incremental-vs-fresh refinement differential under
+# check is the CI gate: static checks, build (the benchmark module too,
+# with its own tests), the full suite under the race detector, short
+# fuzz passes over the SMT-LIB parser, the server request decoder and the
+# FP word kernel, the incremental-vs-fresh refinement differential under
 # -race, the cube-and-conquer differential, the short chaos gate, and
 # end-to-end smokes of the staub-serve binary (one-shot solves, the
 # stateful session tier, and the peer pool's node-kill drill).
@@ -21,10 +21,12 @@ vet:
 build:
 	$(GO) build ./...
 
-# bench-build compiles and vets bench/, a module of its own that
-# `go build ./...` never reaches although it calls into internal/.
+# bench-build compiles, vets and tests bench/, a module of its own that
+# `go build ./...` and `go test ./...` never reach although it calls into
+# internal/ (its per-layer report reads pipeline.RefineMetricsSnapshot,
+# solver.SATMetricsSnapshot and the /stats cache counters).
 bench-build:
-	cd bench && $(GO) build ./... && $(GO) vet ./...
+	cd bench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...

@@ -51,8 +51,6 @@ import (
 	"time"
 
 	"staub/internal/buildinfo"
-	"staub/internal/core"
-	"staub/internal/cube"
 	"staub/internal/engine"
 	"staub/internal/harness"
 	"staub/internal/metrics"
@@ -87,17 +85,12 @@ func main() {
 
 	// One solve cache for the whole invocation: `all` regenerates the
 	// same suites for several experiments, and identical (constraint,
-	// config) jobs are solved exactly once. Its counters live in the same
-	// metrics registry staub-serve scrapes, so CLI and server share one
-	// instrumentation layer.
+	// config) jobs are solved exactly once. Its counters join a metrics
+	// registry that, like staub-serve's, also renders every package-level
+	// family, so CLI and server share one instrumentation layer.
 	cache := engine.NewCache()
 	reg := metrics.NewRegistry()
 	cache.Register(reg)
-	core.RegisterRefineMetrics(reg)
-	core.RegisterPassMetrics(reg)
-	core.RegisterOverApproxMetrics(reg)
-	solver.RegisterSATMetrics(reg)
-	cube.RegisterCubeMetrics(reg)
 	benchStart := time.Now()
 	opts := harness.Options{
 		Timeout:      *timeout,
@@ -125,24 +118,29 @@ func main() {
 					snap["staub_refine_gate_hits_total"], snap["staub_refine_gate_misses_total"],
 					snap["staub_refine_work_units_total"])
 			}
-			if sm := solver.SATMetricsSnapshot(); sm["conflicts"] > 0 {
-				rate := float64(sm["conflicts"]) / time.Since(benchStart).Seconds()
+			if conflicts := snap["staub_sat_conflicts_total"].(int64); conflicts > 0 {
+				rate := float64(conflicts) / time.Since(benchStart).Seconds()
 				fmt.Fprintf(os.Stderr, "staub-bench: %s: sat %d conflicts (%.0f/sec), %d props, %d learned (%d glue), db -%d/%d reductions, pre %d subsumed / %d strengthened / %d eliminated\n",
-					stage, sm["conflicts"], rate, sm["propagations"],
-					sm["learned"], sm["glue_learned"], sm["deleted"], sm["reductions"],
-					sm["subsumed"], sm["strengthened"], sm["eliminated"])
+					stage, conflicts, rate, snap["staub_sat_propagations_total"],
+					snap["staub_sat_learned_total"], snap["staub_sat_glue_learned_total"],
+					snap["staub_sat_clauses_deleted_total"], snap["staub_sat_db_reductions_total"],
+					snap["staub_sat_clauses_subsumed_total"], snap["staub_sat_clauses_strengthened_total"],
+					snap["staub_sat_vars_eliminated_total"])
 				fmt.Fprintf(os.Stderr, "staub-bench: %s: sat lbd hist %s\n", stage, solver.FormatLBDHist())
 			}
-			if cm := cube.CubeMetricsSnapshot(); cm["solves"] > 0 {
+			if snap["staub_cube_solves_total"].(int64) > 0 {
 				fmt.Fprintf(os.Stderr, "staub-bench: %s: cube %d solves (%d probe-decided, %d fallbacks), %d legs (%d sat / %d unsat), %d clauses shared / %d imported\n",
-					stage, cm["solves"], cm["probe_decides"], cm["fallbacks"],
-					cm["legs"], cm["sat_legs"], cm["unsat_legs"],
-					cm["shared_clauses"], cm["imported_clauses"])
+					stage, snap["staub_cube_solves_total"], snap["staub_cube_probe_decides_total"],
+					snap["staub_cube_fallbacks_total"], snap["staub_cube_legs_total"],
+					snap["staub_cube_sat_legs_total"], snap["staub_cube_unsat_legs_total"],
+					snap["staub_cube_shared_clauses_total"], snap["staub_cube_imported_clauses_total"])
 			}
-			if om := core.OverApproxMetricsSnapshot(); om["runs"] > 0 {
+			if snap["staub_overapprox_runs_total"].(int64) > 0 {
 				fmt.Fprintf(os.Stderr, "staub-bench: %s: over %d runs (%d linearized, %d certified widths, %d linear fallbacks), %d sound unsats / %d verified sats / %d reverts\n",
-					stage, om["runs"], om["linearized"], om["width_certified"], om["linear_fallback"],
-					om["sound_unsat"], om["verified_sat"], om["reverts"])
+					stage, snap["staub_overapprox_runs_total"], snap["staub_overapprox_linearized_total"],
+					snap["staub_overapprox_width_certified_total"], snap["staub_overapprox_linear_fallback_total"],
+					snap["staub_overapprox_sound_unsat_total"], snap["staub_overapprox_verified_sat_total"],
+					snap["staub_overapprox_reverts_total"])
 			}
 		}
 	}

@@ -305,14 +305,13 @@ func Stall(max time.Duration, cancelled func() bool) time.Duration {
 
 // injectedTotal counts injections per fault class across the process
 // lifetime (enable/disable cycles included), mirroring how the pipeline's
-// pass aggregates persist.
+// pass aggregates persist. Every fault but FaultNone is declared on
+// metrics.Process as staub_chaos_injected_total{fault=...}.
 var injectedTotal [numFaults]metrics.Counter
 
-// RegisterMetrics exposes the per-fault injection counters through reg as
-// staub_chaos_injected_total{fault=...}.
-func RegisterMetrics(reg *metrics.Registry) {
+func init() {
 	for f := FaultPassPanic; f < numFaults; f++ {
-		reg.RegisterCounter("staub_chaos_injected_total",
+		metrics.Process.RegisterCounter("staub_chaos_injected_total",
 			metrics.Labels{"fault": f.String()}, &injectedTotal[f])
 	}
 }

@@ -153,9 +153,7 @@ func TestMetricsRegistration(t *testing.T) {
 	if got := Snapshot()["transient-error"] - before; got != 5 {
 		t.Fatalf("snapshot delta = %d, want 5", got)
 	}
-	reg := metrics.NewRegistry()
-	RegisterMetrics(reg)
-	snap := reg.Snapshot()
+	snap := metrics.NewRegistry().Snapshot()
 	key := `staub_chaos_injected_total{fault="transient-error"}`
 	if _, ok := snap[key]; !ok {
 		t.Fatalf("registry snapshot missing %s: %v", key, snap)

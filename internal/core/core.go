@@ -66,38 +66,6 @@ func FixedFPSort(width int) smt.Sort {
 	return pipeline.FixedFPSort(width)
 }
 
-// RegisterRefineMetrics exposes the incremental-refinement counters
-// through reg.
-func RegisterRefineMetrics(reg *metrics.Registry) {
-	pipeline.RegisterRefineMetrics(reg)
-}
-
-// RegisterPassMetrics exposes the per-stage pipeline aggregates (runs,
-// work units, wall-time histograms, one series per pass) through reg.
-func RegisterPassMetrics(reg *metrics.Registry) {
-	pipeline.RegisterPassMetrics(reg)
-}
-
-// RegisterOverApproxMetrics exposes the over-approximation leg counters
-// (runs, linearizations, certified widths, linear fallbacks, sound
-// unsats, verified sats, reverts) through reg.
-func RegisterOverApproxMetrics(reg *metrics.Registry) {
-	pipeline.RegisterOverApproxMetrics(reg)
-}
-
-// OverApproxMetricsSnapshot reports the over-approximation counters for
-// CLI summaries and tests.
-func OverApproxMetricsSnapshot() map[string]int64 {
-	return pipeline.OverApproxMetricsSnapshot()
-}
-
-// RefineMetricsSnapshot reports the current refinement counter values
-// (sessions, rounds, clauses retained, gate hits/misses, vars reused,
-// solve work units) for CLI summaries.
-func RefineMetricsSnapshot() map[string]int64 {
-	return pipeline.RefineMetricsSnapshot()
-}
-
 // RunPipeline executes the STAUB pipeline on c: transform, solve bounded,
 // verify. The context cancels the run early; the optional interrupt aborts
 // the bounded solve (used by the portfolio). With Config.RefineRounds set,
@@ -132,12 +100,14 @@ type PortfolioResult struct {
 	Degraded bool
 }
 
-// Package-level portfolio metrics, exported through
-// RegisterPortfolioMetrics.
+// Package-level portfolio metrics, declared on metrics.Process: total
+// races, races that degraded to the unbounded leg after a contained
+// STAUB-leg fault, recovered leg panics, and the time decided races took
+// to cancel their losing legs.
 var (
-	portfolioRuns     metrics.Counter
-	portfolioDegraded metrics.Counter
-	portfolioPanics   metrics.Counter
+	portfolioRuns     = metrics.Process.Counter("staub_portfolio_runs_total", nil)
+	portfolioDegraded = metrics.Process.Counter("staub_portfolio_degraded_total", nil)
+	portfolioPanics   = metrics.Process.Counter("staub_portfolio_leg_panics_total", nil)
 	// portfolioCancel times each decided race's cancellation, from the
 	// winning answer to the last losing leg's return. Its buckets resolve
 	// the sub-millisecond stops the legs' interrupt polling aims for from
@@ -147,25 +117,8 @@ var (
 		10*time.Millisecond, 100*time.Millisecond, time.Second)
 )
 
-// RegisterPortfolioMetrics exposes the portfolio race metrics through
-// reg: total races, races that degraded to the unbounded leg after a
-// contained STAUB-leg fault, recovered leg panics, and the time decided
-// races took to cancel their losing legs.
-func RegisterPortfolioMetrics(reg *metrics.Registry) {
-	reg.RegisterCounter("staub_portfolio_runs_total", nil, &portfolioRuns)
-	reg.RegisterCounter("staub_portfolio_degraded_total", nil, &portfolioDegraded)
-	reg.RegisterCounter("staub_portfolio_leg_panics_total", nil, &portfolioPanics)
-	reg.RegisterHistogram("staub_portfolio_cancel_seconds", nil, portfolioCancel)
-}
-
-// PortfolioMetricsSnapshot reports the portfolio counters (runs,
-// degraded, leg panics) for CLI summaries and tests.
-func PortfolioMetricsSnapshot() map[string]int64 {
-	return map[string]int64{
-		"runs":       portfolioRuns.Value(),
-		"degraded":   portfolioDegraded.Value(),
-		"leg_panics": portfolioPanics.Value(),
-	}
+func init() {
+	metrics.Process.RegisterHistogram("staub_portfolio_cancel_seconds", nil, portfolioCancel)
 }
 
 // leg is one row of the portfolio race.

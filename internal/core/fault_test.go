@@ -36,7 +36,7 @@ func TestPortfolioDegradesOnStaubPanic(t *testing.T) {
 		Sites: []string{"pass:" + pipeline.PassTranslate},
 	}))
 	defer restore()
-	before := PortfolioMetricsSnapshot()
+	runs, degraded := portfolioRuns.Value(), portfolioDegraded.Value()
 	res := RunPortfolio(context.Background(), parse(t, faultSat), degradeCfg())
 	if res.Status != status.Sat {
 		t.Fatalf("status = %v, want sat from the unbounded leg", res.Status)
@@ -50,9 +50,9 @@ func TestPortfolioDegradesOnStaubPanic(t *testing.T) {
 	if res.Pipeline.Fault != pipeline.FaultPanic {
 		t.Fatalf("pipeline fault = %q, want panic", res.Pipeline.Fault)
 	}
-	after := PortfolioMetricsSnapshot()
-	if after["degraded"] <= before["degraded"] || after["runs"] <= before["runs"] {
-		t.Errorf("portfolio counters did not advance: %v → %v", before, after)
+	if portfolioDegraded.Value() <= degraded || portfolioRuns.Value() <= runs {
+		t.Errorf("portfolio counters did not advance: runs %d → %d, degraded %d → %d",
+			runs, portfolioRuns.Value(), degraded, portfolioDegraded.Value())
 	}
 }
 

@@ -94,7 +94,7 @@ func TestRaceRules(t *testing.T) {
 	})
 
 	t.Run("a panicking leg is contained", func(t *testing.T) {
-		before := PortfolioMetricsSnapshot()["leg_panics"]
+		before := portfolioPanics.Value()
 		released := make(chan struct{})
 		results, winner := race([]leg{
 			{"unbounded", after(released, status.Sat), decided},
@@ -109,7 +109,7 @@ func TestRaceRules(t *testing.T) {
 		if winner != 0 || results[0].Status != status.Sat {
 			t.Errorf("winner = %d, want the surviving leg's sat", winner)
 		}
-		if got := PortfolioMetricsSnapshot()["leg_panics"]; got != before+1 {
+		if got := portfolioPanics.Value(); got != before+1 {
 			t.Errorf("staub_portfolio_leg_panics_total went %d → %d, want +1", before, got)
 		}
 	})

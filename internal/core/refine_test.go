@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"staub/internal/pipeline"
 	"staub/internal/solver"
 	"staub/internal/status"
 )
@@ -162,14 +163,14 @@ func TestRealRefinementFallsBackToFresh(t *testing.T) {
 // TestRefineMetricsAccumulate checks the package counters move when an
 // incremental session runs.
 func TestRefineMetricsAccumulate(t *testing.T) {
-	before := RefineMetricsSnapshot()
+	before := pipeline.RefineMetricsSnapshot()
 	src := `
 		(declare-fun x () Int)
 		(assert (= (* x x) 3249))
 		(assert (> x 50))
 		(check-sat)`
 	RunPipeline(context.Background(), parse(t, src), Config{Timeout: 10 * time.Second, Deterministic: true, RefineRounds: 2}, nil)
-	after := RefineMetricsSnapshot()
+	after := pipeline.RefineMetricsSnapshot()
 	if after["sessions"] <= before["sessions"] {
 		t.Error("sessions counter did not advance")
 	}

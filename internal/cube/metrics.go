@@ -2,46 +2,19 @@ package cube
 
 import "staub/internal/metrics"
 
-// Package-level cube-and-conquer counters, exported to /metrics and
-// `staub-bench -v` through RegisterCubeMetrics. They accumulate across
-// every cube solve in the process.
+// Package-level cube-and-conquer counters, declared on metrics.Process
+// and so exported to /metrics and `staub-bench -v`: solves run, solves
+// the probe decided outright, cube legs raced, sat/unsat leg outcomes,
+// clauses exported by legs and adopted by siblings, and fault-driven
+// sequential fallbacks. They accumulate across every cube solve in the
+// process.
 var (
-	cubeSolves          metrics.Counter
-	cubeProbeDecides    metrics.Counter
-	cubeLegs            metrics.Counter
-	cubeSatLegs         metrics.Counter
-	cubeUnsatLegs       metrics.Counter
-	cubeSharedClauses   metrics.Counter
-	cubeImportedClauses metrics.Counter
-	cubeFallbacks       metrics.Counter
+	cubeSolves          = metrics.Process.Counter("staub_cube_solves_total", nil)
+	cubeProbeDecides    = metrics.Process.Counter("staub_cube_probe_decides_total", nil)
+	cubeLegs            = metrics.Process.Counter("staub_cube_legs_total", nil)
+	cubeSatLegs         = metrics.Process.Counter("staub_cube_sat_legs_total", nil)
+	cubeUnsatLegs       = metrics.Process.Counter("staub_cube_unsat_legs_total", nil)
+	cubeSharedClauses   = metrics.Process.Counter("staub_cube_shared_clauses_total", nil)
+	cubeImportedClauses = metrics.Process.Counter("staub_cube_imported_clauses_total", nil)
+	cubeFallbacks       = metrics.Process.Counter("staub_cube_fallbacks_total", nil)
 )
-
-// RegisterCubeMetrics exposes the cube-and-conquer counters through reg:
-// solves run, solves the probe decided outright, cube legs raced,
-// sat/unsat leg outcomes, clauses exported by legs and adopted by
-// siblings, and fault-driven sequential fallbacks.
-func RegisterCubeMetrics(reg *metrics.Registry) {
-	reg.RegisterCounter("staub_cube_solves_total", nil, &cubeSolves)
-	reg.RegisterCounter("staub_cube_probe_decides_total", nil, &cubeProbeDecides)
-	reg.RegisterCounter("staub_cube_legs_total", nil, &cubeLegs)
-	reg.RegisterCounter("staub_cube_sat_legs_total", nil, &cubeSatLegs)
-	reg.RegisterCounter("staub_cube_unsat_legs_total", nil, &cubeUnsatLegs)
-	reg.RegisterCounter("staub_cube_shared_clauses_total", nil, &cubeSharedClauses)
-	reg.RegisterCounter("staub_cube_imported_clauses_total", nil, &cubeImportedClauses)
-	reg.RegisterCounter("staub_cube_fallbacks_total", nil, &cubeFallbacks)
-}
-
-// CubeMetricsSnapshot reports the current cube counter values for CLI
-// summaries.
-func CubeMetricsSnapshot() map[string]int64 {
-	return map[string]int64{
-		"solves":           cubeSolves.Value(),
-		"probe_decides":    cubeProbeDecides.Value(),
-		"legs":             cubeLegs.Value(),
-		"sat_legs":         cubeSatLegs.Value(),
-		"unsat_legs":       cubeUnsatLegs.Value(),
-		"shared_clauses":   cubeSharedClauses.Value(),
-		"imported_clauses": cubeImportedClauses.Value(),
-		"fallbacks":        cubeFallbacks.Value(),
-	}
-}

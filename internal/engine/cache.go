@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -16,29 +17,29 @@ import (
 )
 
 // Key returns the job's content address: a hash of the canonical SMT-LIB
-// script of the constraint plus every configuration knob that can change
-// the verdict or the reported cost. Pipeline jobs additionally hash the
-// resolved pass list the configuration assembles (pipeline.PassNamesFor),
-// so a future pass added to or removed from the chain changes the address
-// even if no knob does. Two jobs with equal keys are interchangeable, so
-// the cache may serve one's result for the other.
+// script of the constraint, the job kind, and the Config in the JSON form
+// the peer wire ships, so every knob that can change the verdict or the
+// reported cost is hashed without a hand-kept field list. A KindSolve key
+// hashes only the fields SolveOriginal reads. Pipeline jobs additionally
+// hash the resolved pass list the configuration assembles
+// (pipeline.PassNamesFor), so a future pass added to or removed from the
+// chain changes the address even if no knob does. Two jobs with equal keys
+// are interchangeable, so the cache may serve one's result for the other.
 func (j Job) Key() string {
+	c := j.Config
+	var passes []string
+	if j.Kind == KindSolve {
+		c = pipeline.Config{Profile: c.Profile, Timeout: c.Timeout, Seed: c.Seed, Deterministic: c.Deterministic}
+	} else {
+		passes = pipeline.PassNamesFor(c)
+	}
+	cfg, err := json.Marshal(c)
+	if err != nil {
+		panic(fmt.Sprintf("engine: Config does not marshal: %v", err))
+	}
 	h := sha256.New()
 	io.WriteString(h, j.Constraint.Script())
-	c := j.Config
-	switch j.Kind {
-	case KindSolve:
-		fmt.Fprintf(h, "|solve|p=%d|t=%d|s=%d|det=%t",
-			c.Profile, c.Timeout, c.Seed, c.Deterministic)
-	default:
-		fmt.Fprintf(h, "|kind=%d|w=%d|t=%d|p=%d|hints=%t|refine=%d|fresh=%t|s=%d|det=%t|lim=%d,%d,%d,%d|trace=%t|sw=%d|ws=%d|cv=%d|cj=%d|cl=%d|over=%t|passes=%s",
-			j.Kind, c.FixedWidth, c.Timeout, c.Profile, c.RangeHints,
-			c.RefineRounds, c.FreshRefine, c.Seed, c.Deterministic,
-			c.Limits.MinWidth, c.Limits.MaxWidth, c.Limits.MaxSig, c.Limits.MaxPrec,
-			c.Trace, c.StartWidth, c.WidthStep,
-			c.CubeVars, c.CubeJobs, c.CubeShareLBD, c.OverApprox,
-			strings.Join(pipeline.PassNamesFor(c), ","))
-	}
+	fmt.Fprintf(h, "|kind=%d|%s|passes=%s", j.Kind, cfg, strings.Join(passes, ","))
 	return hex.EncodeToString(h.Sum(nil))
 }
 

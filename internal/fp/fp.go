@@ -43,9 +43,6 @@ func (f Format) EMin() int { return 1 - f.Bias() }
 // EMax returns the maximum normal exponent.
 func (f Format) EMax() int { return f.Bias() }
 
-// Valid reports whether the format is well-formed.
-func (f Format) Valid() bool { return f.EB >= 2 && f.SB >= 2 && f.EB <= 30 && f.SB <= 4096 }
-
 func (f Format) String() string { return fmt.Sprintf("(_ FloatingPoint %d %d)", f.EB, f.SB) }
 
 // MaxFinite returns the largest finite value of the format as an exact

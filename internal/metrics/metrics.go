@@ -151,6 +151,12 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{series: map[string]*series{}} }
 
+// Process is the process-wide registry. A package exports a family by
+// declaring it on Process where its variable is declared; every Registry
+// renders Process's series beside its own, so no caller lists the
+// families again.
+var Process = NewRegistry()
+
 func (r *Registry) lookup(name string, labels Labels, kind seriesKind) *series {
 	key := name + labels.render()
 	r.mu.Lock()
@@ -213,15 +219,21 @@ func (r *Registry) RegisterHistogram(name string, labels Labels, h *Histogram) {
 	r.series[name+labels.render()] = &series{name: name, labels: labels.render(), kind: kindHistogram, h: h}
 }
 
-// sorted returns all series ordered by (name, labels) for deterministic
-// output.
+// sorted returns r's series and Process's, ordered by (name, labels) for
+// deterministic output.
 func (r *Registry) sorted() []*series {
-	r.mu.Lock()
-	out := make([]*series, 0, len(r.series))
-	for _, s := range r.series {
-		out = append(out, s)
+	regs := []*Registry{r}
+	if r != Process {
+		regs = append(regs, Process)
 	}
-	r.mu.Unlock()
+	var out []*series
+	for _, reg := range regs {
+		reg.mu.Lock()
+		for _, s := range reg.series {
+			out = append(out, s)
+		}
+		reg.mu.Unlock()
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].name != out[j].name {
 			return out[i].name < out[j].name

@@ -166,3 +166,45 @@ func TestLabeledHistogramExposition(t *testing.T) {
 		}
 	}
 }
+
+// TestProcessSeriesJoinEveryRegistry: a series declared on Process after
+// a registry was built shows up in that registry's exposition and
+// snapshot, sorted among the registry's own series, and Process renders
+// its own series once.
+func TestProcessSeriesJoinEveryRegistry(t *testing.T) {
+	saved := Process
+	Process = NewRegistry()
+	t.Cleanup(func() { Process = saved })
+
+	r := NewRegistry()
+	r.Counter("b_total", nil).Inc()
+	Process.Counter("a_total", nil).Add(2)
+	Process.Counter("c_total", Labels{"k": "v"}).Add(3)
+
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := `# TYPE a_total counter
+a_total 2
+# TYPE b_total counter
+b_total 1
+# TYPE c_total counter
+c_total{k="v"} 3
+`
+	if b.String() != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", b.String(), want)
+	}
+	snap := r.Snapshot()
+	if snap["a_total"] != int64(2) || snap["b_total"] != int64(1) || snap[`c_total{k="v"}`] != int64(3) {
+		t.Errorf("snapshot = %v, want a_total 2, b_total 1, c_total{k=\"v\"} 3", snap)
+	}
+
+	b.Reset()
+	if err := Process.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# TYPE a_total counter\na_total 2\n# TYPE c_total counter\nc_total{k=\"v\"} 3\n"; b.String() != want {
+		t.Errorf("Process exposition:\n%s\nwant:\n%s", b.String(), want)
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"staub/internal/absint"
 	"staub/internal/interval"
+	"staub/internal/metrics"
 	"staub/internal/pipeline"
 	"staub/internal/smt"
 	"staub/internal/status"
@@ -332,21 +333,24 @@ func TestProductVarNamesAvoidCollisions(t *testing.T) {
 }
 
 func TestMetricsSnapshotAdvances(t *testing.T) {
-	before := pipeline.OverApproxMetricsSnapshot()
+	names := []string{
+		"staub_overapprox_runs_total",
+		"staub_overapprox_sound_unsat_total",
+		"staub_overapprox_width_certified_total",
+	}
+	before := make([]int64, len(names))
+	for i, name := range names {
+		before[i] = metrics.Process.Counter(name, nil).Value()
+	}
 	runOver(t, `
 		(set-logic QF_LIA)
 		(declare-fun x () Int)
 		(assert (>= x 0)) (assert (<= x 3)) (assert (>= x 7))
 		(check-sat)`)
-	after := pipeline.OverApproxMetricsSnapshot()
-	if after["runs"] <= before["runs"] {
-		t.Errorf("runs did not advance: %d → %d", before["runs"], after["runs"])
-	}
-	if after["sound_unsat"] <= before["sound_unsat"] {
-		t.Errorf("sound_unsat did not advance: %d → %d", before["sound_unsat"], after["sound_unsat"])
-	}
-	if after["width_certified"] <= before["width_certified"] {
-		t.Errorf("width_certified did not advance")
+	for i, name := range names {
+		if after := metrics.Process.Counter(name, nil).Value(); after <= before[i] {
+			t.Errorf("%s did not advance: %d → %d", name, before[i], after)
+		}
 	}
 }
 

@@ -12,34 +12,22 @@ import (
 	"staub/internal/translate"
 )
 
-// Package-level refinement counters, exported to /metrics and
-// `staub-bench -v` through RegisterRefineMetrics. They accumulate across
-// every incremental refinement session in the process.
+// Package-level refinement counters, declared on metrics.Process and so
+// exported to /metrics and `staub-bench -v`. They accumulate across every
+// incremental refinement session in the process.
 var (
-	refineSessions        metrics.Counter
-	refineRounds          metrics.Counter
-	refineClausesRetained metrics.Counter
-	refineGateHits        metrics.Counter
-	refineGateMisses      metrics.Counter
-	refineVarsReused      metrics.Counter
-	refineWorkUnits       metrics.Counter
+	refineSessions        = metrics.Process.Counter("staub_refine_sessions_total", nil)
+	refineRounds          = metrics.Process.Counter("staub_refine_rounds_total", nil)
+	refineClausesRetained = metrics.Process.Counter("staub_refine_clauses_retained_total", nil)
+	refineGateHits        = metrics.Process.Counter("staub_refine_gate_hits_total", nil)
+	refineGateMisses      = metrics.Process.Counter("staub_refine_gate_misses_total", nil)
+	refineVarsReused      = metrics.Process.Counter("staub_refine_vars_reused_total", nil)
+	refineWorkUnits       = metrics.Process.Counter("staub_refine_work_units_total", nil)
 )
-
-// RegisterRefineMetrics exposes the incremental-refinement counters
-// through reg.
-func RegisterRefineMetrics(reg *metrics.Registry) {
-	reg.RegisterCounter("staub_refine_sessions_total", nil, &refineSessions)
-	reg.RegisterCounter("staub_refine_rounds_total", nil, &refineRounds)
-	reg.RegisterCounter("staub_refine_clauses_retained_total", nil, &refineClausesRetained)
-	reg.RegisterCounter("staub_refine_gate_hits_total", nil, &refineGateHits)
-	reg.RegisterCounter("staub_refine_gate_misses_total", nil, &refineGateMisses)
-	reg.RegisterCounter("staub_refine_vars_reused_total", nil, &refineVarsReused)
-	reg.RegisterCounter("staub_refine_work_units_total", nil, &refineWorkUnits)
-}
 
 // RefineMetricsSnapshot reports the current refinement counter values
 // (sessions, rounds, clauses retained, gate hits/misses, vars reused,
-// solve work units) for CLI summaries.
+// solve work units) for the benchmark's per-layer report.
 func RefineMetricsSnapshot() map[string]int64 {
 	return map[string]int64{
 		"sessions":         refineSessions.Value(),
@@ -52,46 +40,19 @@ func RefineMetricsSnapshot() map[string]int64 {
 	}
 }
 
-// Package-level over-approximation counters, exported to /metrics and
-// `staub-bench -v` through RegisterOverApproxMetrics. RunOverApprox
-// derives them from the finished run's state, so the overapprox passes
-// themselves stay metrics-free (and importable without a cycle).
+// Package-level over-approximation counters, declared on metrics.Process.
+// RunOverApprox derives them from the finished run's state, so the
+// overapprox passes themselves stay metrics-free (and importable without
+// a cycle).
 var (
-	overRuns           metrics.Counter
-	overLinearized     metrics.Counter
-	overCertified      metrics.Counter
-	overLinearFallback metrics.Counter
-	overSoundUnsat     metrics.Counter
-	overVerifiedSat    metrics.Counter
-	overReverts        metrics.Counter
+	overRuns           = metrics.Process.Counter("staub_overapprox_runs_total", nil)
+	overLinearized     = metrics.Process.Counter("staub_overapprox_linearized_total", nil)
+	overCertified      = metrics.Process.Counter("staub_overapprox_width_certified_total", nil)
+	overLinearFallback = metrics.Process.Counter("staub_overapprox_linear_fallback_total", nil)
+	overSoundUnsat     = metrics.Process.Counter("staub_overapprox_sound_unsat_total", nil)
+	overVerifiedSat    = metrics.Process.Counter("staub_overapprox_verified_sat_total", nil)
+	overReverts        = metrics.Process.Counter("staub_overapprox_reverts_total", nil)
 )
-
-// RegisterOverApproxMetrics exposes the over-approximation counters
-// through reg.
-func RegisterOverApproxMetrics(reg *metrics.Registry) {
-	reg.RegisterCounter("staub_overapprox_runs_total", nil, &overRuns)
-	reg.RegisterCounter("staub_overapprox_linearized_total", nil, &overLinearized)
-	reg.RegisterCounter("staub_overapprox_width_certified_total", nil, &overCertified)
-	reg.RegisterCounter("staub_overapprox_linear_fallback_total", nil, &overLinearFallback)
-	reg.RegisterCounter("staub_overapprox_sound_unsat_total", nil, &overSoundUnsat)
-	reg.RegisterCounter("staub_overapprox_verified_sat_total", nil, &overVerifiedSat)
-	reg.RegisterCounter("staub_overapprox_reverts_total", nil, &overReverts)
-}
-
-// OverApproxMetricsSnapshot reports the current over-approximation
-// counter values (runs, linearized, width certified, linear fallback,
-// sound unsat, verified sat, reverts) for CLI summaries.
-func OverApproxMetricsSnapshot() map[string]int64 {
-	return map[string]int64{
-		"runs":            overRuns.Value(),
-		"linearized":      overLinearized.Value(),
-		"width_certified": overCertified.Value(),
-		"linear_fallback": overLinearFallback.Value(),
-		"sound_unsat":     overSoundUnsat.Value(),
-		"verified_sat":    overVerifiedSat.Value(),
-		"reverts":         overReverts.Value(),
-	}
-}
 
 // BackstopDeadline bounds the wall-clock time of a deterministic run:
 // work budgets terminate the search deterministically, and the clock is

@@ -143,7 +143,7 @@ func TestChaosStallCancelledByWatchdog(t *testing.T) {
 		Sites: []string{"pass:" + PassTranslate}, StallFor: 30 * time.Second,
 	}))
 	defer restore()
-	before := PassMetricsSnapshot()[PassTranslate]
+	before := aggFor(PassTranslate).watchdogs.Value()
 	c := parse(t, satSrc)
 	start := time.Now()
 	res := Run(context.Background(), c, Config{Timeout: 200 * time.Millisecond, Deterministic: true}, nil)
@@ -156,9 +156,8 @@ func TestChaosStallCancelledByWatchdog(t *testing.T) {
 	if res.Outcome != OutcomeError || res.Fault != FaultStall {
 		t.Fatalf("outcome/fault = %v/%q, want error/stall", res.Outcome, res.Fault)
 	}
-	after := PassMetricsSnapshot()[PassTranslate]
-	if after.Watchdogs <= before.Watchdogs {
-		t.Errorf("watchdog counter did not advance: %d → %d", before.Watchdogs, after.Watchdogs)
+	if after := aggFor(PassTranslate).watchdogs.Value(); after <= before {
+		t.Errorf("watchdog counter did not advance: %d → %d", before, after)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -287,8 +286,9 @@ var (
 	passAgg  = map[string]*passMetrics{}
 )
 
-// Register adds a pass to the registry. Registering a duplicate name
-// panics: pass names are global vocabulary. Packages contribute passes
+// Register adds a pass to the registry and declares its per-pass series
+// on metrics.Process. Registering a duplicate name panics: pass names are
+// global vocabulary. Packages contribute passes
 // from init (internal/reduce registers reduce-int2bv this way, keeping
 // the dependency pointing reduce→pipeline).
 func Register(p Pass) {
@@ -301,7 +301,7 @@ func Register(p Pass) {
 		panic(fmt.Sprintf("pipeline: pass %q registered twice", p.Name))
 	}
 	registry[p.Name] = p
-	passAgg[p.Name] = newPassMetrics()
+	passAgg[p.Name] = newPassMetrics(p.Name)
 }
 
 // Lookup returns the registered pass for name.
@@ -310,18 +310,6 @@ func Lookup(name string) (Pass, bool) {
 	defer regMu.RUnlock()
 	p, ok := registry[name]
 	return p, ok
-}
-
-// Names lists all registered pass names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // MustPasses resolves names to passes, panicking on an unknown name

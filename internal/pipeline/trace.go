@@ -29,12 +29,12 @@ type Span struct {
 // passMetrics are the always-on per-pass aggregates: every pass execution
 // pays three atomic updates here whether or not tracing is enabled.
 type passMetrics struct {
-	runs      metrics.Counter
-	work      metrics.Counter
+	runs      *metrics.Counter
+	work      *metrics.Counter
 	seconds   *metrics.Histogram
-	panics    metrics.Counter
-	watchdogs metrics.Counter
-	budgets   metrics.Counter
+	panics    *metrics.Counter
+	watchdogs *metrics.Counter
+	budgets   *metrics.Counter
 }
 
 // passLatencyBuckets resolve the sub-millisecond stages the default
@@ -45,57 +45,25 @@ var passLatencyBuckets = []time.Duration{
 	time.Second, 10 * time.Second,
 }
 
-func newPassMetrics() *passMetrics {
-	return &passMetrics{seconds: metrics.NewHistogram(passLatencyBuckets...)}
+// newPassMetrics declares one pass's series on metrics.Process, labeled
+// {pass=name}: staub_pass_runs_total, staub_pass_work_units_total, the
+// staub_pass_seconds wall-time histogram and the three fault counters.
+func newPassMetrics(name string) *passMetrics {
+	labels := metrics.Labels{"pass": name}
+	m := &passMetrics{
+		runs:      metrics.Process.Counter("staub_pass_runs_total", labels),
+		work:      metrics.Process.Counter("staub_pass_work_units_total", labels),
+		seconds:   metrics.NewHistogram(passLatencyBuckets...),
+		panics:    metrics.Process.Counter("staub_pass_panics_total", labels),
+		watchdogs: metrics.Process.Counter("staub_pass_watchdog_total", labels),
+		budgets:   metrics.Process.Counter("staub_pass_budget_faults_total", labels),
+	}
+	metrics.Process.RegisterHistogram("staub_pass_seconds", labels, m.seconds)
+	return m
 }
 
 func aggFor(name string) *passMetrics {
 	regMu.RLock()
 	defer regMu.RUnlock()
 	return passAgg[name]
-}
-
-// RegisterPassMetrics exposes the per-pass aggregates through reg as
-// labeled series: staub_pass_runs_total{pass=...},
-// staub_pass_work_units_total{pass=...} and the
-// staub_pass_seconds{pass=...} wall-time histogram.
-func RegisterPassMetrics(reg *metrics.Registry) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	for name, m := range passAgg {
-		labels := metrics.Labels{"pass": name}
-		reg.RegisterCounter("staub_pass_runs_total", labels, &m.runs)
-		reg.RegisterCounter("staub_pass_work_units_total", labels, &m.work)
-		reg.RegisterHistogram("staub_pass_seconds", labels, m.seconds)
-		reg.RegisterCounter("staub_pass_panics_total", labels, &m.panics)
-		reg.RegisterCounter("staub_pass_watchdog_total", labels, &m.watchdogs)
-		reg.RegisterCounter("staub_pass_budget_faults_total", labels, &m.budgets)
-	}
-}
-
-// PassMetricsSnapshot reports per-pass run and work totals, keyed by pass
-// name, for CLI summaries and tests.
-func PassMetricsSnapshot() map[string]PassTotals {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make(map[string]PassTotals, len(passAgg))
-	for name, m := range passAgg {
-		out[name] = PassTotals{
-			Runs: m.runs.Value(), Work: m.work.Value(),
-			Panics: m.panics.Value(), Watchdogs: m.watchdogs.Value(),
-			BudgetFaults: m.budgets.Value(),
-		}
-	}
-	return out
-}
-
-// PassTotals are one pass's aggregate counters.
-type PassTotals struct {
-	Runs int64
-	Work int64
-	// Panics, Watchdogs and BudgetFaults count contained faults at this
-	// pass (recovered panics, watchdog cancellations, ceiling hits).
-	Panics       int64
-	Watchdogs    int64
-	BudgetFaults int64
 }

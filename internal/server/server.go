@@ -37,15 +37,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"staub/internal/chaos"
-	"staub/internal/core"
-	"staub/internal/cube"
 	"staub/internal/engine"
 	"staub/internal/metrics"
 	"staub/internal/pipeline"
 	"staub/internal/pool"
-	"staub/internal/session"
-	"staub/internal/solver"
 )
 
 // Config configures a Server. The zero value is usable: every field has a
@@ -218,21 +213,13 @@ type Server struct {
 }
 
 // New returns a ready Server with its own engine, solve cache and metrics
-// registry.
+// registry. The registry holds only this server's series; it renders the
+// package-level families of metrics.Process beside them.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	eng := engine.New(cfg.Workers, engine.NewCacheWithLimit(cfg.CacheEntries))
 	reg := metrics.NewRegistry()
 	eng.Register(reg)
-	core.RegisterRefineMetrics(reg)
-	core.RegisterPassMetrics(reg)
-	core.RegisterPortfolioMetrics(reg)
-	core.RegisterOverApproxMetrics(reg)
-	solver.RegisterSATMetrics(reg)
-	cube.RegisterCubeMetrics(reg)
-	chaos.RegisterMetrics(reg)
-
-	session.RegisterSessionMetrics(reg)
 
 	s := &Server{
 		cfg:      cfg,

@@ -346,6 +346,8 @@ func TestMetricsAndStatsEndpoints(t *testing.T) {
 		}
 	}
 
+	assertNoDuplicateSeries(t, "fresh server", text)
+
 	// Every staub_* family the docs name must be exported. The pool
 	// families register only on a pooled node, so they are checked
 	// against one.
@@ -355,6 +357,7 @@ func TestMetricsAndStatsEndpoints(t *testing.T) {
 		if strings.HasPrefix(fam, "staub_pool_") {
 			if pooled == "" {
 				pooled = scrapeMetrics(t, newCluster(t, 2, nil)[0].url)
+				assertNoDuplicateSeries(t, "pooled server", pooled)
 			}
 			exposition = pooled
 		}
@@ -386,6 +389,24 @@ func TestMetricsAndStatsEndpoints(t *testing.T) {
 	}
 	if stats.Metrics[`staub_solves_total{outcome="verified"}`] != 2.0 {
 		t.Errorf("stats metrics snapshot missing solves: %v", stats.Metrics)
+	}
+}
+
+// assertNoDuplicateSeries fails when an exposition repeats a # TYPE line
+// or a series, as it does when a server's own series collides with one
+// declared on metrics.Process.
+func assertNoDuplicateSeries(t *testing.T, what, text string) {
+	t.Helper()
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		key := line
+		if !strings.HasPrefix(line, "# TYPE ") {
+			key = line[:strings.LastIndexByte(line, ' ')]
+		}
+		if seen[key] {
+			t.Errorf("%s: /metrics repeats %q", what, key)
+		}
+		seen[key] = true
 	}
 }
 

@@ -358,7 +358,7 @@ func (s *Session) dropSolverLocked(reason string) {
 	s.bv = nil
 	s.evicted = true
 	s.stats.Drops++
-	if c := dropCounter(reason); c != nil {
+	if c := sessDrops[reason]; c != nil {
 		c.Inc()
 	}
 }

@@ -61,9 +61,6 @@ type Node struct {
 	Col   int
 }
 
-// IsAtom reports whether the node is an atom rather than a list.
-func (n *Node) IsAtom() bool { return n.Kind != KindList }
-
 // IsSymbol reports whether the node is the symbol s.
 func (n *Node) IsSymbol(s string) bool { return n.Kind == KindSymbol && n.Text == s }
 
@@ -140,9 +137,6 @@ func isSymbolRune(r rune) bool {
 
 // Symbol returns a new symbol atom.
 func Symbol(s string) *Node { return &Node{Kind: KindSymbol, Text: s} }
-
-// Numeral returns a new numeral atom with the given decimal text.
-func Numeral(s string) *Node { return &Node{Kind: KindNumeral, Text: s} }
 
 // List returns a new list node with the given items.
 func List(items ...*Node) *Node { return &Node{Kind: KindList, Items: items} }

@@ -357,16 +357,6 @@ func (s *Solver) Model() map[string]*big.Rat {
 	return model
 }
 
-// VarNames returns the structural variable names known to the solver.
-func (s *Solver) VarNames() []string {
-	out := make([]string, 0, len(s.index))
-	for n := range s.index {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Value returns the current δ-rational value of a structural variable.
 func (s *Solver) Value(name string) (Num, bool) {
 	vi, ok := s.index[name]

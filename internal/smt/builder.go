@@ -23,9 +23,6 @@ func NewBuilder() *Builder {
 	}
 }
 
-// NumTerms returns the number of distinct terms interned so far.
-func (b *Builder) NumTerms() int { return len(b.table) }
-
 func (b *Builder) intern(key string, mk func() *Term) *Term {
 	if t, ok := b.table[key]; ok {
 		return t
@@ -444,9 +441,6 @@ func (b *Builder) Implies(a, c *Term) *Term { return b.MustApply(OpImplies, a, c
 
 // Eq returns (= x y).
 func (b *Builder) Eq(x, y *Term) *Term { return b.MustApply(OpEq, x, y) }
-
-// Ite returns (ite c x y).
-func (b *Builder) Ite(c, x, y *Term) *Term { return b.MustApply(OpIte, c, x, y) }
 
 // Add returns (+ args...).
 func (b *Builder) Add(args ...*Term) *Term {

@@ -63,18 +63,6 @@ func (c *Constraint) MustAssert(t *Term) {
 	}
 }
 
-// Formula returns the conjunction of all assertions as a single term.
-func (c *Constraint) Formula() *Term {
-	switch len(c.Assertions) {
-	case 0:
-		return c.Builder.True()
-	case 1:
-		return c.Assertions[0]
-	default:
-		return c.Builder.And(c.Assertions...)
-	}
-}
-
 // NumNodes returns the number of distinct DAG nodes across all assertions.
 func (c *Constraint) NumNodes() int {
 	seen := map[*Term]bool{}
@@ -94,17 +82,6 @@ func (c *Constraint) NumNodes() int {
 		walk(a)
 	}
 	return count
-}
-
-// Unbounded reports whether any declared variable has an unbounded sort
-// (Definition 3.4 in the paper).
-func (c *Constraint) Unbounded() bool {
-	for _, v := range c.Vars {
-		if !v.Sort.Bounded() {
-			return true
-		}
-	}
-	return false
 }
 
 // LargestConstBits returns the maximum over all integer and real constants

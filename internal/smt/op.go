@@ -183,35 +183,10 @@ func (o Op) String() string {
 	return "<invalid-op>"
 }
 
-// IsBoolResult reports whether the operator always produces a Bool.
-func (o Op) IsBoolResult() bool {
-	switch o {
-	case OpTrue, OpFalse, OpNot, OpAnd, OpOr, OpXor, OpImplies, OpEq, OpDistinct,
-		OpLe, OpLt, OpGe, OpGt,
-		OpBVSLe, OpBVSLt, OpBVSGe, OpBVSGt, OpBVULe, OpBVULt, OpBVUGe, OpBVUGt,
-		OpBVNegO, OpBVSAddO, OpBVSSubO, OpBVSMulO, OpBVSDivO,
-		OpFPLe, OpFPLt, OpFPGe, OpFPGt, OpFPEq, OpFPIsNaN, OpFPIsInf:
-		return true
-	}
-	return false
-}
-
 // IsLeaf reports whether the operator is a leaf (variable or constant).
 func (o Op) IsLeaf() bool {
 	switch o {
 	case OpVar, OpIntConst, OpRealConst, OpBVConst, OpFPConst, OpTrue, OpFalse:
-		return true
-	}
-	return false
-}
-
-// IsComparison reports whether the operator is an arithmetic comparison over
-// any of the numeric theories (excluding equality, which is polymorphic).
-func (o Op) IsComparison() bool {
-	switch o {
-	case OpLe, OpLt, OpGe, OpGt,
-		OpBVSLe, OpBVSLt, OpBVSGe, OpBVSGt, OpBVULe, OpBVULt, OpBVUGe, OpBVUGt,
-		OpFPLe, OpFPLt, OpFPGe, OpFPGt, OpFPEq:
 		return true
 	}
 	return false

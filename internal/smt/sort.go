@@ -110,9 +110,6 @@ func (s Sort) Bounded() bool {
 	}
 }
 
-// Numeric reports whether the sort carries arithmetic values.
-func (s Sort) Numeric() bool { return s.Kind != KindBool && s.Kind != KindInvalid }
-
 func (s Sort) String() string {
 	switch s.Kind {
 	case KindBool:

@@ -50,18 +50,6 @@ func (t *Term) ID() int { return int(t.id) }
 // including t itself.
 func (t *Term) Size() int { return int(t.size) }
 
-// IsConst reports whether the term is a constant leaf of any sort.
-func (t *Term) IsConst() bool {
-	switch t.Op {
-	case OpIntConst, OpRealConst, OpBVConst, OpFPConst, OpTrue, OpFalse:
-		return true
-	}
-	return false
-}
-
-// IsVar reports whether the term is a declared variable.
-func (t *Term) IsVar() bool { return t.Op == OpVar }
-
 // BVSigned interprets a bitvector constant as a signed (two's-complement)
 // integer. It panics if the term is not a bitvector constant.
 func (t *Term) BVSigned() *big.Int {

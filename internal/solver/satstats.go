@@ -8,25 +8,32 @@ import (
 )
 
 // Package-level SAT-core health counters, fed by every bit-blasting
-// solve (one-shot and incremental) in the process and exported to
-// /metrics and `staub-bench -v` through RegisterSATMetrics. Together
+// solve (one-shot and incremental) in the process and declared on
+// metrics.Process, so /metrics and `staub-bench -v` export them. Together
 // with the work counters they answer "is the CDCL core healthy": a
 // conflicts/sec collapse or an LBD histogram skewed to the last bucket
 // localizes a regression to the solver without re-running a benchmark.
 var (
-	satDecisions    metrics.Counter
-	satPropagations metrics.Counter
-	satConflicts    metrics.Counter
-	satRestarts     metrics.Counter
-	satLearned      metrics.Counter
-	satGlueLearned  metrics.Counter
-	satReductions   metrics.Counter
-	satDeleted      metrics.Counter
-	satSubsumed     metrics.Counter
-	satStrengthened metrics.Counter
-	satEliminated   metrics.Counter
-	satLBDHist      [sat.LBDBuckets]metrics.Counter
+	satDecisions    = metrics.Process.Counter("staub_sat_decisions_total", nil)
+	satPropagations = metrics.Process.Counter("staub_sat_propagations_total", nil)
+	satConflicts    = metrics.Process.Counter("staub_sat_conflicts_total", nil)
+	satRestarts     = metrics.Process.Counter("staub_sat_restarts_total", nil)
+	satLearned      = metrics.Process.Counter("staub_sat_learned_total", nil)
+	satGlueLearned  = metrics.Process.Counter("staub_sat_glue_learned_total", nil)
+	satReductions   = metrics.Process.Counter("staub_sat_db_reductions_total", nil)
+	satDeleted      = metrics.Process.Counter("staub_sat_clauses_deleted_total", nil)
+	satSubsumed     = metrics.Process.Counter("staub_sat_clauses_subsumed_total", nil)
+	satStrengthened = metrics.Process.Counter("staub_sat_clauses_strengthened_total", nil)
+	satEliminated   = metrics.Process.Counter("staub_sat_vars_eliminated_total", nil)
+	satLBDHist      [sat.LBDBuckets]*metrics.Counter
 )
+
+func init() {
+	for i := range satLBDHist {
+		satLBDHist[i] = metrics.Process.Counter("staub_sat_learned_lbd_total",
+			metrics.Labels{"lbd": lbdBucketLabel(i)})
+	}
+}
 
 // lbdBucketLabel names histogram bucket i the way the Stats doc defines
 // it: buckets 0..LBDBuckets-2 are exact LBDs 1..LBDBuckets-1, the last
@@ -36,25 +43,6 @@ func lbdBucketLabel(i int) string {
 		return fmt.Sprintf("%d+", sat.LBDBuckets)
 	}
 	return fmt.Sprintf("%d", i+1)
-}
-
-// RegisterSATMetrics exposes the SAT-core counters through reg.
-func RegisterSATMetrics(reg *metrics.Registry) {
-	reg.RegisterCounter("staub_sat_decisions_total", nil, &satDecisions)
-	reg.RegisterCounter("staub_sat_propagations_total", nil, &satPropagations)
-	reg.RegisterCounter("staub_sat_conflicts_total", nil, &satConflicts)
-	reg.RegisterCounter("staub_sat_restarts_total", nil, &satRestarts)
-	reg.RegisterCounter("staub_sat_learned_total", nil, &satLearned)
-	reg.RegisterCounter("staub_sat_glue_learned_total", nil, &satGlueLearned)
-	reg.RegisterCounter("staub_sat_db_reductions_total", nil, &satReductions)
-	reg.RegisterCounter("staub_sat_clauses_deleted_total", nil, &satDeleted)
-	reg.RegisterCounter("staub_sat_clauses_subsumed_total", nil, &satSubsumed)
-	reg.RegisterCounter("staub_sat_clauses_strengthened_total", nil, &satStrengthened)
-	reg.RegisterCounter("staub_sat_vars_eliminated_total", nil, &satEliminated)
-	for i := range satLBDHist {
-		reg.RegisterCounter("staub_sat_learned_lbd_total",
-			metrics.Labels{"lbd": lbdBucketLabel(i)}, &satLBDHist[i])
-	}
 }
 
 // recordSATStats folds one solver's counter delta into the process-wide
@@ -99,9 +87,9 @@ func satStatsDelta(after, before sat.Stats) sat.Stats {
 	return d
 }
 
-// SATMetricsSnapshot reports the current SAT-core counter values for CLI
-// summaries; "lbd_hist" aggregates the histogram as a compact string via
-// FormatLBDHist.
+// SATMetricsSnapshot reports the current SAT-core counter values for the
+// benchmark's per-layer report and the bit-blast golden; FormatLBDHist
+// renders the LBD histogram.
 func SATMetricsSnapshot() map[string]int64 {
 	return map[string]int64{
 		"decisions":    satDecisions.Value(),

@@ -36,7 +36,6 @@ package staub
 
 import (
 	"context"
-	"time"
 
 	"staub/internal/absint"
 	"staub/internal/core"
@@ -159,15 +158,11 @@ func Transform(c *Constraint, cfg Config) (*translate.Result, int, error) {
 	return core.Transform(c, cfg)
 }
 
-// SolveDirect decides c with the appropriate engine for its theory (the
-// unmodified-solver leg of the portfolio). A zero cfg.Timeout uses the
-// pipeline default of two seconds.
+// SolveDirect decides c with the appropriate engine for its theory: the
+// unmodified-solver leg of the portfolio, under cfg's Timeout (default
+// two seconds), Profile, Seed and Deterministic.
 func SolveDirect(c *Constraint, cfg Config) (Status, Assignment) {
-	timeout := cfg.Timeout
-	if timeout == 0 {
-		timeout = 2 * time.Second
-	}
-	r := solver.SolveTimeout(context.Background(), c, timeout, cfg.Profile)
+	r := pipeline.SolveOriginal(context.Background(), c, cfg, nil)
 	return r.Status, r.Model
 }
 

@@ -1,11 +1,14 @@
 package staub_test
 
 import (
+	"context"
 	"math/big"
 	"testing"
 	"time"
 
 	"staub"
+	"staub/internal/benchgen"
+	"staub/internal/pipeline"
 )
 
 const cubes855 = `
@@ -90,5 +93,26 @@ func TestPublicAPISolveDirect(t *testing.T) {
 	st, _ := staub.SolveDirect(c, staub.Config{Timeout: 2 * time.Second})
 	if st != staub.Unsat {
 		t.Fatalf("status = %v, want unsat", st)
+	}
+
+	// SolveDirect is the portfolio's unbounded leg, so a deterministic
+	// config buys it the same work budget and the same verdict.
+	insts, err := benchgen.Suite("QF_NIA", 40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hard *benchgen.Instance
+	for i := range insts {
+		if insts[i].Name == "quad-hard-0010" {
+			hard = &insts[i]
+		}
+	}
+	if hard == nil {
+		t.Fatal("benchgen QF_NIA seed 1 has no quad-hard-0010")
+	}
+	cfg := staub.Config{Timeout: 200 * time.Millisecond, Deterministic: true}
+	want := pipeline.SolveOriginal(context.Background(), hard.Constraint, cfg, nil).Status
+	if got, _ := staub.SolveDirect(hard.Constraint, cfg); got != want {
+		t.Errorf("%s: SolveDirect = %v, SolveOriginal = %v", hard.Name, got, want)
 	}
 }
