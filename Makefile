@@ -76,14 +76,18 @@ differential:
 # brute-force oracle across every solver configuration (default settings,
 # frequent DB reduction, preprocessing, variable elimination),
 # SolveAssuming against fresh copies, the activation-literal retirement
-# pattern, and clones solved concurrently with their originals (same
-# status, model and Stats; the race detector proves Clone copies every
-# array the search writes) — all under the race detector.
+# pattern, every learnt clause of random 3-SAT solves checked by reverse
+# unit propagation against the clauses before it (a minimizer that drops
+# a literal too many fails), and clones solved concurrently with their
+# originals (same status, model and Stats; the race detector proves Clone
+# copies every array the search writes) — all under the race detector.
 sat-diff:
-	$(GO) test -race -count=1 -run 'TestSATDiff|TestCloneSolvesAlike' ./internal/sat
+	$(GO) test -race -count=1 -run 'TestSATDiff|TestLearntClausesAreRUP|TestCloneSolvesAlike' ./internal/sat
 
 # cube-diff is the cube-and-conquer differential gate: across the harness
-# corpus, cube-solve must reproduce every decided sequential verdict
+# corpus plus two benchgen instances whose cube run splits (the probe
+# decides every harness instance whole), cube-solve must reproduce every
+# decided sequential verdict
 # byte-identically (strengthening a sequential timeout is the feature),
 # and the full result — verdict, model, work — must be byte-identical at
 # 1, 2 and 8 cube workers, under the race detector.

@@ -19,24 +19,24 @@ import (
 )
 
 // cubeShortCorpus names the -short cube corpus: fast benchgen seed-1
-// instances whose clean cube run splits. The refinement corpus cannot
-// serve here — the cube probe decides all of suiteCorpus's -short subset,
-// so neither cube site would ever be reached, and the one instance that
-// does split (cubes-855) is too slow to run under -race on every fault.
+// instances, of which knapsack-0007 and lin-sat-0033 split at CubeVars 2
+// in a clean run (sign-unsat-0047 is a bounded unsat the probe decides).
+// The refinement corpus cannot serve alone: the cube probe decides every
+// one of its instances whole, so neither cube site would ever be reached.
 var cubeShortCorpus = []struct{ logic, name string }{
 	{"QF_LIA", "knapsack-0007"},
 	{"QF_LIA", "lin-sat-0033"},
 	{"QF_NIA", "sign-unsat-0047"},
 }
 
-// cubeCorpus is the cube suite's corpus: the whole refinement corpus, or
-// cubeShortCorpus in -short mode.
+// cubeCorpus is the cube suite's corpus: cubeShortCorpus, after the whole
+// refinement corpus unless in -short mode.
 func cubeCorpus(t *testing.T) []harness.RefinementInstance {
 	t.Helper()
-	if !testing.Short() {
-		return harness.RefinementCorpus()
-	}
 	var corpus []harness.RefinementInstance
+	if !testing.Short() {
+		corpus = harness.RefinementCorpus()
+	}
 	for _, want := range cubeShortCorpus {
 		insts, err := benchgen.Suite(want.logic, 60, 1)
 		if err != nil {

@@ -6,10 +6,12 @@ package cube_test
 import (
 	"context"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"staub/internal/benchgen"
 	"staub/internal/core"
 	"staub/internal/cube"
 	"staub/internal/harness"
@@ -80,21 +82,41 @@ func TestCubeSolveMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCubeDiff is the differential gate. Across the harness refinement
-// corpus it checks two invariants. Against the sequential pipeline: a
-// decided sequential verdict is reproduced byte-identically, and a
-// sequential timeout at worst stays unknown (cube strengthening a
-// timeout to a decided verdict is the feature, and is logged). Across
-// cube workers: the full result — verdict, model, work, cube count —
-// must be byte-identical at 1, 2 and 8 workers, because the worker
-// count may only move the virtual makespan, never the answer. At least
-// one instance must split into cubes at 1 worker: a corpus the probe
-// decides whole never reaches the conquer drivers, and then the gate
-// checks nothing.
+// cubeDiffCorpus is TestCubeDiff's corpus: the harness refinement corpus
+// plus two fast benchgen seed-1 QF_LIA instances whose cube run splits.
+// The probe decides every refinement instance whole, so without them no
+// conquer driver would run.
+func cubeDiffCorpus(t *testing.T) []harness.RefinementInstance {
+	t.Helper()
+	insts, err := benchgen.Suite("QF_LIA", 60, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := harness.RefinementCorpus()
+	for _, name := range []string{"knapsack-0007", "lin-sat-0033"} {
+		i := slices.IndexFunc(insts, func(inst benchgen.Instance) bool { return inst.Name == name })
+		if i < 0 {
+			t.Fatalf("benchgen QF_LIA seed 1 has no instance %s", name)
+		}
+		corpus = append(corpus, harness.RefinementInstance{Name: name, Src: insts[i].Constraint.Script()})
+	}
+	return corpus
+}
+
+// TestCubeDiff is the differential gate. Across cubeDiffCorpus it checks
+// two invariants. Against the sequential pipeline: a decided sequential
+// verdict is reproduced byte-identically, and a sequential timeout at
+// worst stays unknown (cube strengthening a timeout to a decided verdict
+// is the feature, and is logged). Across cube workers: the full result —
+// verdict, model, work, cube count — must be byte-identical at 1, 2 and
+// 8 workers, because the worker count may only move the virtual
+// makespan, never the answer. At least one instance must split into
+// cubes at 1 worker: a corpus the probe decides whole never reaches the
+// conquer drivers, and then the gate checks nothing.
 func TestCubeDiff(t *testing.T) {
 	ctx := context.Background()
 	split := 0
-	for _, inst := range harness.RefinementCorpus() {
+	for _, inst := range cubeDiffCorpus(t) {
 		t.Run(inst.Name, func(t *testing.T) {
 			c, err := smt.ParseScript(inst.Src)
 			if err != nil {

@@ -7,6 +7,7 @@
 package sat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -60,6 +61,17 @@ func checkModel(t *testing.T, tag string, s *Solver, clauses [][]Lit) {
 			t.Fatalf("%s: model does not satisfy clause %d (%v)", tag, ci, cl)
 		}
 	}
+}
+
+// rand3SAT generates a uniform random 3-SAT instance over nVars variables
+// with about 4.26 clauses a variable, the satisfiability threshold, where
+// the solver learns on almost every instance.
+func rand3SAT(rng *rand.Rand, nVars int) [][]Lit {
+	clauses := make([][]Lit, nVars*426/100)
+	for i := range clauses {
+		clauses[i] = []Lit{Lit(rng.Intn(2 * nVars)), Lit(rng.Intn(2 * nVars)), Lit(rng.Intn(2 * nVars))}
+	}
+	return clauses
 }
 
 // TestSATDiffOracle cross-checks every solver configuration — default
@@ -228,4 +240,86 @@ func TestSATDiffGrowingDatabase(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLearntClausesAreRUP is a soundness oracle for conflict analysis and
+// minimization: with frequent DB reduction and no preprocessing, every
+// learnt clause Export receives must be a reverse unit propagation (RUP)
+// consequence of the original clauses and the clauses learnt before it.
+// Falsifying all its literals and propagating must reach a conflict. A
+// minimizer that drops one literal too many learns a clause that is not
+// implied, and this fails. TestSATDiffOracle's mixed-width CNFs are
+// settled by propagation alone (a quarter of their clauses are units), so
+// this draws random 3-SAT.
+func TestLearntClausesAreRUP(t *testing.T) {
+	rng := rand.New(rand.NewSource(2026))
+	checked := 0
+	for iter := 0; iter < 300; iter++ {
+		nVars := 20 + rng.Intn(30)
+		clauses := rand3SAT(rng, nVars)
+		s := buildSolver(nVars, clauses)
+		s.ReduceFirst = 8
+		s.ExportLBD = math.MaxInt
+		db := append([][]Lit(nil), clauses...)
+		s.Export = func(lits []Lit, _ int) {
+			if !rup(nVars, db, lits) {
+				t.Fatalf("iter %d: learnt clause %v is not RUP over the %d clauses before it", iter, lits, len(db))
+			}
+			db = append(db, lits)
+			checked++
+		}
+		s.Solve()
+	}
+	if checked < 3000 {
+		t.Fatalf("%d learnt clauses checked, want ≥ 3000", checked)
+	}
+}
+
+// rup reports whether unit propagation over db, from the assignment that
+// falsifies every literal of clause, reaches a conflict. It is a plain
+// fixpoint loop, independent of the solver's watch lists.
+func rup(nVars int, db [][]Lit, clause []Lit) bool {
+	val := make([]lbool, 2*nVars)
+	set := func(l Lit) bool {
+		switch val[l] {
+		case lFalse:
+			return false
+		case lUndef:
+			val[l], val[l.Not()] = lTrue, lFalse
+		}
+		return true
+	}
+	for _, l := range clause {
+		if !set(l.Not()) {
+			return true
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, cl := range db {
+			var unit Lit
+			open := 0
+			sat := false
+			for _, l := range cl {
+				switch val[l] {
+				case lTrue:
+					sat = true
+				case lUndef:
+					if open == 0 || l != unit { // a repeated literal counts once
+						unit = l
+						open++
+					}
+				}
+			}
+			switch {
+			case sat || open > 1:
+			case open == 0:
+				return true
+			default:
+				set(unit)
+				changed = true
+			}
+		}
+	}
+	return false
 }

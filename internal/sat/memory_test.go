@@ -10,6 +10,8 @@ import (
 // buffers whose size follows one call, not the problem.
 var memoryScratch = map[string]bool{
 	"analyzeT":    true,
+	"minStack":    true,
+	"toClear":     true,
 	"addBuf":      true,
 	"assumptions": true,
 	"failed":      true,

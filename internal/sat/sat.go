@@ -1,6 +1,7 @@
 // Package sat implements a CDCL (conflict-driven clause learning) SAT
 // solver with two-literal watching, blocking literals, specialized binary
-// clause propagation, first-UIP conflict analysis, VSIDS variable
+// clause propagation, first-UIP conflict analysis with recursive
+// learnt-clause minimization (Sörensson & Biere), VSIDS variable
 // activity, phase saving, Luby restarts, glue-based (LBD) learned-clause
 // management with aggressive DB reduction on a geometric schedule, and a
 // pre/inprocessing pass (subsumption, self-subsuming resolution, bounded
@@ -335,9 +336,13 @@ type Solver struct {
 	Stats Stats
 
 	seen []bool
-	// analyzeT and addBuf are scratch: the learnt clause under
-	// construction and AddClause's simplified copy, reused across calls.
+	// analyzeT, minStack, toClear and addBuf are scratch, reused across
+	// calls: the learnt clause under construction, the minimizer's DFS
+	// stack, the literals whose seen marks analyze must clear, and
+	// AddClause's simplified copy.
 	analyzeT []Lit
+	minStack []Lit
+	toClear  []Lit
 	addBuf   []Lit
 
 	// assumptions holds the literals of the current SolveAssuming call;
@@ -725,9 +730,10 @@ func (s *Solver) propagate() cref {
 	return crefUndef
 }
 
-// analyze derives the first-UIP learnt clause of conflict confl, with
-// the asserting literal first and a literal of the backjump level second.
-// The clause lives in the analyzeT buffer, valid until the next call.
+// analyze derives the first-UIP learnt clause of conflict confl,
+// minimized recursively (see removable), with the asserting literal first
+// and a literal of the backjump level second. The clause lives in the
+// analyzeT buffer, valid until the next call.
 func (s *Solver) analyze(confl cref) (learnt []Lit, backLevel int) {
 	pathC := 0
 	var p Lit = -1
@@ -780,20 +786,23 @@ func (s *Solver) analyze(confl cref) (learnt []Lit, backLevel int) {
 	learnt[0] = p.Not()
 	s.analyzeT = learnt
 
-	// Minimize: remove literals implied by the rest (cheap
-	// self-subsumption). The seen marks now cover exactly the variables of
-	// learnt[1:] and must stay set until every check is done: kept
-	// literals move forward in order, and removed ones are swapped behind
-	// them so the loop below still clears their marks.
+	// Minimize recursively (Sörensson & Biere): drop each literal the rest
+	// of the clause implies. The seen marks now cover exactly the
+	// variables of learnt[1:]; removable adds marks of its own, and every
+	// mark is cleared through toClear once all checks are done.
+	var levels uint32
+	for _, q := range learnt[1:] {
+		levels |= s.abstractLevel(q.Var())
+	}
+	s.toClear = append(s.toClear[:0], learnt[1:]...)
 	kept := 1
-	for i := 1; i < len(learnt); i++ {
-		q := learnt[i]
-		if r := s.vars[q.Var()].reason; r == crefUndef || !s.redundant(q, r) {
-			learnt[i], learnt[kept] = learnt[kept], q
+	for _, q := range learnt[1:] {
+		if s.vars[q.Var()].reason == crefUndef || !s.removable(q, levels) {
+			learnt[kept] = q
 			kept++
 		}
 	}
-	for _, q := range learnt {
+	for _, q := range s.toClear {
 		s.seen[q.Var()] = false
 	}
 	learnt = learnt[:kept]
@@ -813,17 +822,46 @@ func (s *Solver) analyze(confl cref) (learnt []Lit, backLevel int) {
 	return learnt, backLevel
 }
 
-// redundant reports whether literal q's reason clause is subsumed by the
-// learnt set: each of its other literals is at level 0 or in learnt[1:].
-// Both sides are false literals, so a literal is in learnt[1:] exactly
-// when analyze left its variable marked seen.
-func (s *Solver) redundant(q Lit, r cref) bool {
-	for _, l := range s.clsLits(r) {
-		if v := l.Var(); l != q.Not() && !s.seen[v] && s.vars[v].level != 0 {
-			return false
+// removable reports whether learnt literal q, which has a reason, is
+// implied by the rest of the clause: every path back through reason
+// clauses ends in a seen literal or at level 0. A seen literal is one of
+// learnt[1:] or one an earlier call showed implied; all are false. A
+// reason-less literal, or one whose level is not among the clause's
+// levels (the abstractLevel mask), cannot be implied, so it fails the
+// search at once. A failed search unmarks what it marked; a successful
+// one leaves its marks, in toClear, for later calls to stop at.
+func (s *Solver) removable(q Lit, levels uint32) bool {
+	stack := append(s.minStack[:0], q)
+	top := len(s.toClear)
+	for len(stack) > 0 {
+		p := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, l := range s.clsLits(s.vars[p.Var()].reason) {
+			v := l.Var()
+			if v == p.Var() || s.seen[v] || s.vars[v].level == 0 {
+				continue
+			}
+			if s.vars[v].reason == crefUndef || s.abstractLevel(v)&levels == 0 {
+				for _, m := range s.toClear[top:] {
+					s.seen[m.Var()] = false
+				}
+				s.toClear = s.toClear[:top]
+				s.minStack = stack
+				return false
+			}
+			s.seen[v] = true
+			stack = append(stack, l)
+			s.toClear = append(s.toClear, l)
 		}
 	}
+	s.minStack = stack
 	return true
+}
+
+// abstractLevel is v's decision level as one bit of a 32-bit mask, so a
+// clause's levels fold into one word that a membership test reads.
+func (s *Solver) abstractLevel(v int) uint32 {
+	return 1 << (uint32(s.vars[v].level) & 31)
 }
 
 func (s *Solver) backtrack(level int) {

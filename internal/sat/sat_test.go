@@ -1,7 +1,9 @@
 package sat
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -580,4 +582,65 @@ func TestEliminatedVarGuards(t *testing.T) {
 		}()
 		s.SolveAssuming(NegLit(x))
 	})
+}
+
+// TestRecursiveMinimization pins the minimizer on a hand-built implication
+// graph. Level 1 decides a, which implies b through (¬a ∨ b) and c through
+// (¬b ∨ c); level 2 decides e, which with a and c conflicts through
+// (¬e ∨ ¬a ∨ f) and (¬e ∨ ¬c ∨ ¬f). The first-UIP clause is (¬e ∨ ¬a ∨ ¬c).
+// The one-level test keeps ¬c, since c's reason holds ¬b and b is not in
+// the clause; the recursive test follows b back to a, which is, and drops
+// ¬c.
+func TestRecursiveMinimization(t *testing.T) {
+	s := New()
+	a, b, c, e, f := s.NewVar(), s.NewVar(), s.NewVar(), s.NewVar(), s.NewVar()
+	s.AddClause(NegLit(a), PosLit(b))
+	s.AddClause(NegLit(b), PosLit(c))
+	s.AddClause(NegLit(e), NegLit(a), PosLit(f))
+	s.AddClause(NegLit(e), NegLit(c), NegLit(f))
+	decide := func(l Lit) cref {
+		s.trailLim = append(s.trailLim, len(s.trail))
+		s.enqueue(l, crefUndef)
+		return s.propagate()
+	}
+	if confl := decide(PosLit(a)); confl != crefUndef {
+		t.Fatal("deciding a conflicts, want b and c implied")
+	}
+	confl := decide(PosLit(e))
+	if confl == crefUndef {
+		t.Fatal("deciding e does not conflict")
+	}
+	learnt, back := s.analyze(confl)
+	if want := []Lit{NegLit(e), NegLit(a)}; !slices.Equal(learnt, want) {
+		t.Fatalf("learnt = %v, want %v (¬c implied by ¬a through b)", learnt, want)
+	}
+	if back != 1 {
+		t.Errorf("backjump level = %d, want 1", back)
+	}
+	if v := slices.Index(s.seen, true); v >= 0 {
+		t.Errorf("variable %d still marked seen after analyze", v)
+	}
+}
+
+// TestAnalyzeClearsSeen checks that every seen mark the minimizer sets is
+// cleared before the learnt clause leaves analyze, over seeded random
+// 3-SAT solves: Export runs right after each analyze, so it scans the
+// marks.
+func TestAnalyzeClearsSeen(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	learnt := 0
+	for iter := 0; iter < 20; iter++ {
+		s := buildSolver(100, rand3SAT(rng, 100))
+		s.ExportLBD = math.MaxInt
+		s.Export = func([]Lit, int) {
+			learnt++
+			if v := slices.Index(s.seen, true); v >= 0 {
+				t.Fatalf("iter %d: variable %d still marked seen after analyze", iter, v)
+			}
+		}
+		s.Solve()
+	}
+	if learnt < 1000 {
+		t.Fatalf("%d clauses learnt over the solves, want ≥ 1000", learnt)
+	}
 }
