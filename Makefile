@@ -72,9 +72,10 @@ differential:
 	$(GO) test -race -short -count=1 -run 'TestKernelMatchesReference|TestKernelFallbacksMatchReference' ./internal/intsolver
 	$(GO) test -race -count=1 -run 'TestWordMatchesReference' ./internal/fp
 
-# sat-diff is the CDCL differential gate: random CNF instances against a
-# brute-force oracle across every solver configuration (default settings,
-# frequent DB reduction, preprocessing, variable elimination),
+# sat-diff is the CDCL differential gate: random CNF instances and
+# threshold random 3-SAT against a brute-force oracle across every solver
+# configuration (default settings, frequent DB reduction, preprocessing;
+# the frequent-reduction one must reach conflicts and reductions),
 # SolveAssuming against fresh copies, the activation-literal retirement
 # pattern, every learnt clause of random 3-SAT solves checked by reverse
 # unit propagation against the clauses before it (a minimizer that drops
@@ -89,8 +90,9 @@ sat-diff:
 # decides every harness instance whole), cube-solve must reproduce every
 # decided sequential verdict
 # byte-identically (strengthening a sequential timeout is the feature),
-# and the full result — verdict, model, work — must be byte-identical at
-# 1, 2 and 8 cube workers, under the race detector.
+# and cube.Solve's full result on the bounded form — verdict, model, work,
+# cube count — must be byte-identical at 1, 2 and 8 cube workers, under
+# the race detector.
 cube-diff:
 	$(GO) test -race -count=1 -run 'TestCubeDiff' ./internal/cube
 

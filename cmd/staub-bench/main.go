@@ -34,9 +34,6 @@
 //	-jobs N       parallel solve workers (default 0 = GOMAXPROCS)
 //	-cube-vars N  cube-and-conquer the bounded solves over 2^N assumption
 //	              cubes (default 0 = sequential; published tables assume 0)
-//	-cube-jobs N  concurrent cube legs (0 = GOMAXPROCS)
-//	-cube-share-lbd N  glue cutoff for inter-cube clause sharing
-//	              (0 = default 2, negative disables)
 //	-v            progress and cache statistics on stderr
 //	-version      print the build string and exit
 package main
@@ -65,8 +62,6 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "instance count scale factor")
 		jobs     = flag.Int("jobs", 0, "parallel solve workers (0 = GOMAXPROCS)")
 		cubeVars = flag.Int("cube-vars", 0, "cube-and-conquer over 2^N assumption cubes (0 = sequential)")
-		cubeJobs = flag.Int("cube-jobs", 0, "concurrent cube legs (0 = GOMAXPROCS)")
-		cubeLBD  = flag.Int("cube-share-lbd", 0, "glue cutoff for inter-cube clause sharing (0 = default 2, negative disables)")
 		verbose  = flag.Bool("v", false, "progress and cache statistics on stderr")
 		version  = flag.Bool("version", false, "print the build string and exit")
 	)
@@ -93,14 +88,12 @@ func main() {
 	cache.Register(reg)
 	benchStart := time.Now()
 	opts := harness.Options{
-		Timeout:      *timeout,
-		Seed:         *seed,
-		Counts:       scaledCounts(*scale),
-		Jobs:         *jobs,
-		Cache:        cache,
-		CubeVars:     *cubeVars,
-		CubeJobs:     *cubeJobs,
-		CubeShareLBD: *cubeLBD,
+		Timeout:  *timeout,
+		Seed:     *seed,
+		Counts:   scaledCounts(*scale),
+		Jobs:     *jobs,
+		Cache:    cache,
+		CubeVars: *cubeVars,
 	}
 	if *verbose {
 		opts.Progress = os.Stderr
@@ -120,12 +113,11 @@ func main() {
 			}
 			if conflicts := snap["staub_sat_conflicts_total"].(int64); conflicts > 0 {
 				rate := float64(conflicts) / time.Since(benchStart).Seconds()
-				fmt.Fprintf(os.Stderr, "staub-bench: %s: sat %d conflicts (%.0f/sec), %d props, %d learned (%d glue), db -%d/%d reductions, pre %d subsumed / %d strengthened / %d eliminated\n",
+				fmt.Fprintf(os.Stderr, "staub-bench: %s: sat %d conflicts (%.0f/sec), %d props, %d learned (%d glue), db -%d/%d reductions, pre %d subsumed / %d strengthened\n",
 					stage, conflicts, rate, snap["staub_sat_propagations_total"],
 					snap["staub_sat_learned_total"], snap["staub_sat_glue_learned_total"],
 					snap["staub_sat_clauses_deleted_total"], snap["staub_sat_db_reductions_total"],
-					snap["staub_sat_clauses_subsumed_total"], snap["staub_sat_clauses_strengthened_total"],
-					snap["staub_sat_vars_eliminated_total"])
+					snap["staub_sat_clauses_subsumed_total"], snap["staub_sat_clauses_strengthened_total"])
 				fmt.Fprintf(os.Stderr, "staub-bench: %s: sat lbd hist %s\n", stage, solver.FormatLBDHist())
 			}
 			if snap["staub_cube_solves_total"].(int64) > 0 {

@@ -19,9 +19,6 @@
 //	-drain D         grace period for in-flight requests on shutdown (default 30s)
 //	-cube-vars N     default cube-and-conquer split for requests that name
 //	                 none: 2^N assumption cubes (default 0 = sequential)
-//	-cube-jobs N     default concurrent cube legs (0 = GOMAXPROCS)
-//	-cube-share-lbd N  default glue cutoff for inter-cube clause sharing
-//	                 (0 = package default 2, negative disables)
 //	-over            run the over-approximation leg on every
 //	                 pipeline/portfolio request by default (requests can
 //	                 also opt in per-request with over=true)
@@ -75,8 +72,6 @@ func main() {
 		maxBatch    = flag.Int("max-batch", 64, "constraints allowed per /v1/batch request")
 		drain       = flag.Duration("drain", 30*time.Second, "grace period for in-flight requests on shutdown")
 		cubeVars    = flag.Int("cube-vars", 0, "default cube-and-conquer split over 2^N assumption cubes (0 = sequential)")
-		cubeJobs    = flag.Int("cube-jobs", 0, "default concurrent cube legs (0 = GOMAXPROCS)")
-		cubeLBD     = flag.Int("cube-share-lbd", 0, "default glue cutoff for inter-cube clause sharing (0 = package default 2, negative disables)")
 		over        = flag.Bool("over", false, "run the over-approximation leg on every pipeline/portfolio request by default")
 		poolSelf    = flag.String("pool", "", "this node's advertised base URL in a peer pool (empty = standalone)")
 		poolPeers   = flag.String("peers", "", "comma-separated pool membership URLs (used with -pool)")
@@ -110,8 +105,6 @@ func main() {
 		MaxRequestBytes: *maxBody,
 		MaxBatch:        *maxBatch,
 		CubeVars:        *cubeVars,
-		CubeJobs:        *cubeJobs,
-		CubeShareLBD:    *cubeLBD,
 		OverApprox:      *over,
 		PoolSelf:        strings.TrimSuffix(strings.TrimSpace(*poolSelf), "/"),
 		PoolPeers:       splitPeers(*poolPeers),

@@ -31,10 +31,8 @@
 //	                 and certify a-priori bounds, so a bounded unsat is a
 //	                 sound unsat (alone, or as an extra -portfolio leg)
 //	-cube-vars N     cube-and-conquer: split the bounded solve over 2^N
-//	                 assumption cubes (0 = sequential solve)
-//	-cube-jobs N     concurrent cube legs (0 = GOMAXPROCS)
-//	-cube-share-lbd N  glue cutoff for inter-cube clause sharing
-//	                 (0 = default 2, negative disables sharing)
+//	                 assumption cubes raced on GOMAXPROCS workers
+//	                 (0 = sequential solve)
 //	-solver NAME     solver profile: prima (default) or secunda
 //	-jobs N          batch solve workers (default 0 = GOMAXPROCS)
 //	-stats           print inference, translation and cache statistics
@@ -72,8 +70,6 @@ func main() {
 		portfolio  = flag.Bool("portfolio", false, "race STAUB against the unmodified solver")
 		over       = flag.Bool("over", false, "run the over-approximation pipeline (sound unsat via linearization and a-priori bounds)")
 		cubeVars   = flag.Int("cube-vars", 0, "cube-and-conquer over 2^N assumption cubes (0 = sequential solve)")
-		cubeJobs   = flag.Int("cube-jobs", 0, "concurrent cube legs (0 = GOMAXPROCS)")
-		cubeLBD    = flag.Int("cube-share-lbd", 0, "glue cutoff for inter-cube clause sharing (0 = default 2, negative disables)")
 		profile    = flag.String("solver", "prima", "solver profile: prima or secunda")
 		jobs       = flag.Int("jobs", 0, "batch solve workers (0 = GOMAXPROCS)")
 		stats      = flag.Bool("stats", false, "print inference, translation and cache statistics")
@@ -98,15 +94,13 @@ func main() {
 	defer stop()
 
 	cfg := core.Config{
-		Timeout:      *timeout,
-		FixedWidth:   *width,
-		StartWidth:   *startWidth,
-		WidthStep:    *widthStep,
-		Profile:      prof,
-		CubeVars:     *cubeVars,
-		CubeJobs:     *cubeJobs,
-		CubeShareLBD: *cubeLBD,
-		OverApprox:   *over,
+		Timeout:    *timeout,
+		FixedWidth: *width,
+		StartWidth: *startWidth,
+		WidthStep:  *widthStep,
+		Profile:    prof,
+		CubeVars:   *cubeVars,
+		OverApprox: *over,
 	}
 
 	if flag.NArg() > 1 {

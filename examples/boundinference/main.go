@@ -74,7 +74,7 @@ func realExample() {
 	res := absint.InferReal(c, x)
 	fmt.Printf("Inferred root (m, p) = %v\n", res.Root)
 
-	sort := absint.SelectFPSort(res.Root, absint.Limits{})
+	sort := absint.SelectFPSort(res.Root)
 	fmt.Printf("Selected floating-point sort: %v\n", sort)
 
 	fmt.Println("\nPer-node (m, p) for each assertion:")

@@ -229,21 +229,20 @@ func TestInferRealDivisionStaysFinite(t *testing.T) {
 }
 
 func TestSelectBVWidthClamps(t *testing.T) {
-	l := Limits{MinWidth: 6, MaxWidth: 20}
-	if got := SelectBVWidth(3, l); got != 6 {
-		t.Errorf("SelectBVWidth(3) = %d, want 6", got)
+	if got := SelectBVWidth(3); got != 4 {
+		t.Errorf("SelectBVWidth(3) = %d, want 4", got)
 	}
-	if got := SelectBVWidth(100, l); got != 20 {
-		t.Errorf("SelectBVWidth(100) = %d, want 20", got)
+	if got := SelectBVWidth(100); got != 64 {
+		t.Errorf("SelectBVWidth(100) = %d, want 64", got)
 	}
-	if got := SelectBVWidth(12, l); got != 12 {
+	if got := SelectBVWidth(12); got != 12 {
 		t.Errorf("SelectBVWidth(12) = %d, want 12", got)
 	}
 }
 
 func TestSelectFPSortCoversDomain(t *testing.T) {
 	root := MP{M: 6, P: 4}
-	s := SelectFPSort(root, Limits{})
+	s := SelectFPSort(root)
 	if s.Kind != smt.KindFloat {
 		t.Fatalf("sort kind = %v", s.Kind)
 	}
@@ -251,9 +250,12 @@ func TestSelectFPSortCoversDomain(t *testing.T) {
 	if s.SB < root.M+root.P-1 {
 		t.Errorf("significand %d too small for (m=%d, p=%d)", s.SB, root.M, root.P)
 	}
-	// Infinite precision must clamp, not panic.
-	s2 := SelectFPSort(MP{M: 4, PInf: true}, Limits{MaxPrec: 10})
-	if s2.SB > 4+10 {
-		t.Errorf("infinite precision not clamped: sb=%d", s2.SB)
+	// Infinite precision must clamp to the precision cap of 24, not panic.
+	if s2 := SelectFPSort(MP{M: 4, PInf: true}); s2.SB != 4+24 {
+		t.Errorf("infinite precision not clamped: sb=%d, want 28", s2.SB)
+	}
+	// The significand never exceeds 53 bits.
+	if s3 := SelectFPSort(MP{M: 60, P: 10}); s3.SB != 53 {
+		t.Errorf("significand not clamped: sb=%d, want 53", s3.SB)
 	}
 }

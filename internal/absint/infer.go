@@ -307,62 +307,31 @@ func InferIntPerVar(c *smt.Constraint, x int) map[string]int {
 // Width selection: converting abstract results into concrete bounded
 // sorts.
 
-// Limits bounds the sorts the inference may select; zero values select the
-// defaults. The paper clamps implicitly by reverting to the original
-// constraint when bounds are insufficient.
-type Limits struct {
-	MinWidth int // minimum bitvector width (default 4)
-	MaxWidth int // maximum bitvector width (default 64)
-	MaxSig   int // maximum FP significand bits (default 53)
-	MaxPrec  int // precision cap substituted for infinite P (default 24)
-}
+// Bounds on the sorts the inference may select. The paper clamps
+// implicitly by reverting to the original constraint when bounds are
+// insufficient.
+const (
+	MinWidth = 4  // minimum bitvector width
+	MaxWidth = 64 // maximum bitvector width (machine-word semantics)
+	maxSig   = 53 // maximum FP significand bits
+	maxPrec  = 24 // precision cap substituted for infinite P
+)
 
-func (l Limits) withDefaults() Limits {
-	if l.MinWidth == 0 {
-		l.MinWidth = 4
-	}
-	if l.MaxWidth == 0 {
-		l.MaxWidth = 64
-	}
-	if l.MaxSig == 0 {
-		l.MaxSig = 53
-	}
-	if l.MaxPrec == 0 {
-		l.MaxPrec = 24
-	}
-	return l
-}
-
-// SelectBVWidth clamps an inferred root width into a usable bitvector
-// width.
-func SelectBVWidth(root int, l Limits) int {
-	l = l.withDefaults()
-	if root < l.MinWidth {
-		return l.MinWidth
-	}
-	if root > l.MaxWidth {
-		return l.MaxWidth
-	}
-	return root
+// SelectBVWidth clamps an inferred root width into [MinWidth, MaxWidth].
+func SelectBVWidth(root int) int {
+	return min(max(root, MinWidth), MaxWidth)
 }
 
 // SelectFPSort converts an inferred (m, p) into a floating-point sort able
 // to represent every concretized value exactly: the significand must hold
 // m-1 integer bits plus p fractional bits, and the exponent range must
 // reach both 2^m and 2^-p.
-func SelectFPSort(root MP, l Limits) smt.Sort {
-	l = l.withDefaults()
+func SelectFPSort(root MP) smt.Sort {
 	p := root.P
-	if root.PInf || p > l.MaxPrec {
-		p = l.MaxPrec
+	if root.PInf || p > maxPrec {
+		p = maxPrec
 	}
-	sb := root.M + p
-	if sb < 3 {
-		sb = 3
-	}
-	if sb > l.MaxSig {
-		sb = l.MaxSig
-	}
+	sb := min(max(root.M+p, 3), maxSig)
 	// Exponent field: bias must exceed both the magnitude exponent and
 	// the subnormal reach.
 	need := max(root.M+1, p+sb)

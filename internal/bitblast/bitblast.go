@@ -194,18 +194,9 @@ func Solve(c *smt.Constraint, configure func(*sat.Solver)) (sat.Status, eval.Ass
 		}
 		return sat.Unknown, nil, err
 	}
-	// One-shot solve: nothing is added or assumed after this point, so
-	// any equisatisfiable preprocessing would be safe. Variable
-	// elimination nevertheless stays off by default: on the crafted
-	// arithmetic encodings this pipeline produces it perturbs the search
-	// trajectory unpredictably (order-of-magnitude conflict swings in
-	// both directions), while subsumption and self-subsuming resolution
-	// shrink the clause database without touching the trajectory's
-	// variance. Callers who want BVE must build the solver and Blaster
-	// themselves and run Preprocess with VarElim after Encode: configure
-	// sees the solver before any clause exists, where Preprocess has
-	// nothing to eliminate.
-	s.Preprocess(sat.PreprocessOptions{})
+	// Subsumption and self-subsuming resolution preserve equivalence and
+	// shrink the clause database; every session round runs the same pass.
+	s.Preprocess()
 	if s.Interrupted() {
 		return sat.Unknown, nil, nil
 	}

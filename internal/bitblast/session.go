@@ -28,8 +28,8 @@
 // Each round is preprocessed once it is encoded, as bitblast.Solve
 // preprocesses a one-shot CNF: retirement only adds the unit ¬a_N and
 // sweeps level 0, and one Preprocess call (subsumption and
-// self-subsuming resolution, no variable elimination) then runs over the
-// retained clauses and the new round together before the search.
+// self-subsuming resolution) then runs over the retained clauses and the
+// new round together before the search.
 package bitblast
 
 import (
@@ -136,9 +136,8 @@ func (se *Session) Encode(c *smt.Constraint) error {
 	}
 	// Subsumption and self-subsuming resolution preserve equivalence, so
 	// they are safe against later rounds re-touching any variable and
-	// against retiring this round's guard. Variable elimination stays
-	// off: any session variable can gain clauses in a later round.
-	se.s.Preprocess(sat.PreprocessOptions{})
+	// against retiring this round's guard.
+	se.s.Preprocess()
 	return nil
 }
 

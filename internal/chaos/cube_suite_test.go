@@ -63,7 +63,7 @@ func cubeSuiteJobs(t *testing.T, corpus []harness.RefinementInstance) []engine.J
 			t.Fatalf("%s: %v", inst.Name, err)
 		}
 		jobs[i] = engine.Job{Kind: engine.KindPipeline, Constraint: c,
-			Config: core.Config{Timeout: time.Second, Deterministic: true, CubeVars: 2, CubeJobs: 8}}
+			Config: core.Config{Timeout: time.Second, Deterministic: true, CubeVars: 2}}
 	}
 	return jobs
 }

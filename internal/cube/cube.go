@@ -48,8 +48,12 @@ import (
 // pays (1000 work units at the cost model's 40 propagations per unit).
 const quantumProps = 40_000
 
-// defaultProbeConflicts bounds the activity-warming probe solve.
-const defaultProbeConflicts = 500
+// probeConflicts bounds the activity-warming probe solve.
+const probeConflicts = 500
+
+// shareLBD is the glue cutoff for inter-leg clause exchange: legs export
+// learned clauses with LBD at most this value (the classic glue tier).
+const shareLBD = 2
 
 // Options configures a cube-and-conquer solve.
 type Options struct {
@@ -60,12 +64,6 @@ type Options struct {
 	// Jobs bounds concurrent legs (≤ 0 selects GOMAXPROCS). Under
 	// Deterministic it only enters the virtual-time makespan.
 	Jobs int
-	// ShareLBD is the glue cutoff for inter-leg clause exchange: legs
-	// export learned clauses with LBD at most this value. Zero selects
-	// the default (2, the classic glue tier); negative disables sharing.
-	ShareLBD int
-	// ProbeConflicts bounds the probing solve (0: default 500).
-	ProbeConflicts int64
 	// WorkBudget, when positive, bounds every leg (and the probe) by a
 	// deterministic work-unit count, exactly as the sequential bounded
 	// solve is bounded.
@@ -76,23 +74,11 @@ type Options struct {
 	Interrupt *atomic.Bool
 	// Deterministic selects the virtual-time driver.
 	Deterministic bool
-	// Seed is accepted for option-surface parity with solver.Options;
-	// replicas run fixed-seed for reproducibility.
-	Seed int64
 }
 
 func (o Options) withDefaults() Options {
 	if o.Jobs <= 0 {
 		o.Jobs = runtime.GOMAXPROCS(0)
-	}
-	switch {
-	case o.ShareLBD == 0:
-		o.ShareLBD = 2
-	case o.ShareLBD < 0:
-		o.ShareLBD = 0 // disables export entirely
-	}
-	if o.ProbeConflicts <= 0 {
-		o.ProbeConflicts = defaultProbeConflicts
 	}
 	return o
 }
@@ -158,7 +144,7 @@ func Solve(c *smt.Constraint, o Options) Result {
 		res.TimedOut = errors.Is(err, bitblast.ErrInterrupted)
 		return res
 	}
-	base.Preprocess(sat.PreprocessOptions{})
+	base.Preprocess()
 
 	legCap := int64(0)
 	if o.WorkBudget > 0 {
@@ -169,7 +155,7 @@ func Solve(c *smt.Constraint, o Options) Result {
 	// the splitter. It runs the exact prefix of the sequential solve's
 	// trajectory, so when it decides, the sequential path decides
 	// identically.
-	base.ConflictCap = o.ProbeConflicts
+	base.ConflictCap = probeConflicts
 	base.PropagationCap = legCap
 	probeSt := base.Solve()
 	base.ConflictCap = 0
@@ -212,7 +198,7 @@ func Solve(c *smt.Constraint, o Options) Result {
 			}
 		}
 		legs[i] = leg{s: base.Clone(), cube: lits}
-		legs[i].s.ExportLBD = o.ShareLBD
+		legs[i].s.ExportLBD = shareLBD
 	}
 	cubeLegs.Add(int64(numCubes))
 

@@ -105,16 +105,18 @@ func cubeDiffCorpus(t *testing.T) []harness.RefinementInstance {
 
 // TestCubeDiff is the differential gate. Across cubeDiffCorpus it checks
 // two invariants. Against the sequential pipeline: a decided sequential
-// verdict is reproduced byte-identically, and a sequential timeout at
-// worst stays unknown (cube strengthening a timeout to a decided verdict
-// is the feature, and is logged). Across cube workers: the full result —
-// verdict, model, work, cube count — must be byte-identical at 1, 2 and
-// 8 workers, because the worker count may only move the virtual
-// makespan, never the answer. At least one instance must split into
-// cubes at 1 worker: a corpus the probe decides whole never reaches the
-// conquer drivers, and then the gate checks nothing.
+// verdict is reproduced byte-identically by the cube pipeline, and a
+// sequential timeout at worst stays unknown (cube strengthening a timeout
+// to a decided verdict is the feature, and is logged). Across cube
+// workers: cube.Solve's full result on the bounded form — verdict, model,
+// work, cube count — must be byte-identical at 1, 2 and 8 workers,
+// because the worker count may only move the virtual makespan, never the
+// answer. At least one instance must split into cubes at 1 worker: a
+// corpus the probe decides whole never reaches the conquer drivers, and
+// then the gate checks nothing.
 func TestCubeDiff(t *testing.T) {
 	ctx := context.Background()
+	budget := solver.WorkBudgetFor(testTimeout)
 	split := 0
 	for _, inst := range cubeDiffCorpus(t) {
 		t.Run(inst.Name, func(t *testing.T) {
@@ -126,43 +128,48 @@ func TestCubeDiff(t *testing.T) {
 			seq := core.RunPipeline(ctx, c, seqCfg, nil)
 			seqDecided := seq.Outcome == core.OutcomeVerified || seq.Outcome == core.OutcomeBoundedUnsat
 
-			var first core.PipelineResult
-			for i, jobs := range []int{1, 2, 8} {
-				cfg := seqCfg
-				cfg.CubeVars = 3
-				cfg.CubeJobs = jobs
-				res := core.RunPipeline(ctx, c, cfg, nil)
-				if seqDecided {
-					if got, want := res.Status.String(), seq.Status.String(); got != want {
-						t.Fatalf("jobs=%d: verdict %q != sequential %q", jobs, got, want)
-					}
-					if res.Outcome != seq.Outcome {
-						t.Fatalf("jobs=%d: outcome %v != sequential %v", jobs, res.Outcome, seq.Outcome)
-					}
-				} else if res.Outcome != seq.Outcome {
-					t.Logf("jobs=%d: cube strengthened sequential outcome %v to %v", jobs, seq.Outcome, res.Outcome)
+			cfg := seqCfg
+			cfg.CubeVars = 3
+			res := core.RunPipeline(ctx, c, cfg, nil)
+			if seqDecided {
+				if got, want := res.Status.String(), seq.Status.String(); got != want {
+					t.Fatalf("verdict %q != sequential %q", got, want)
 				}
-				if res.Fault != "" {
-					t.Fatalf("jobs=%d: unexpected fault %q", jobs, res.Fault)
+				if res.Outcome != seq.Outcome {
+					t.Fatalf("outcome %v != sequential %v", res.Outcome, seq.Outcome)
+				}
+			} else if res.Outcome != seq.Outcome {
+				t.Logf("cube strengthened sequential outcome %v to %v", seq.Outcome, res.Outcome)
+			}
+			if res.Fault != "" {
+				t.Fatalf("unexpected fault %q", res.Fault)
+			}
+
+			bnd := bounded(t, inst.Src)
+			var first cube.Result
+			for i, jobs := range []int{1, 2, 8} {
+				cres := cube.Solve(bnd, cube.Options{Vars: 3, Jobs: jobs, WorkBudget: budget, Deterministic: true})
+				if cres.Fault != "" {
+					t.Fatalf("jobs=%d: unexpected fault %q", jobs, cres.Fault)
 				}
 				if i == 0 {
-					first = res
-					if res.Cubes > 0 {
+					first = cres
+					if cres.Cubes > 0 {
 						split++
 					}
 					continue
 				}
-				if res.Status != first.Status {
-					t.Errorf("jobs=%d: status %v != jobs=1 status %v", jobs, res.Status, first.Status)
+				if cres.Status != first.Status {
+					t.Errorf("jobs=%d: status %v != jobs=1 status %v", jobs, cres.Status, first.Status)
 				}
-				if !reflect.DeepEqual(res.Model, first.Model) {
-					t.Errorf("jobs=%d: model %v != jobs=1 model %v", jobs, res.Model, first.Model)
+				if !reflect.DeepEqual(cres.Model, first.Model) {
+					t.Errorf("jobs=%d: model %v != jobs=1 model %v", jobs, cres.Model, first.Model)
 				}
-				if res.SolveWork != first.SolveWork {
-					t.Errorf("jobs=%d: solve work %d != jobs=1 work %d", jobs, res.SolveWork, first.SolveWork)
+				if cres.Work != first.Work {
+					t.Errorf("jobs=%d: work %d != jobs=1 work %d", jobs, cres.Work, first.Work)
 				}
-				if res.Cubes != first.Cubes {
-					t.Errorf("jobs=%d: cubes %d != jobs=1 cubes %d", jobs, res.Cubes, first.Cubes)
+				if cres.Cubes != first.Cubes {
+					t.Errorf("jobs=%d: cubes %d != jobs=1 cubes %d", jobs, cres.Cubes, first.Cubes)
 				}
 			}
 		})
@@ -247,7 +254,7 @@ func TestCubePortfolioLeg(t *testing.T) {
 	}
 	base := core.RunPortfolio(ctx, c, core.Config{Timeout: testTimeout, Deterministic: true})
 	cubed := core.RunPortfolio(ctx, c, core.Config{
-		Timeout: testTimeout, Deterministic: true, CubeVars: 2, CubeJobs: 8,
+		Timeout: testTimeout, Deterministic: true, CubeVars: 2,
 	})
 	if cubed.Status != base.Status {
 		t.Fatalf("portfolio with cube leg = %v, without = %v", cubed.Status, base.Status)

@@ -43,13 +43,10 @@ func passCubeSolve(st *pipeline.State) pipeline.Verdict {
 	t1 := time.Now()
 	cres := Solve(st.Bounded, Options{
 		Vars:          cfg.CubeVars,
-		Jobs:          cfg.CubeJobs,
-		ShareLBD:      cfg.CubeShareLBD,
 		WorkBudget:    solveBudget,
 		Deadline:      st.Deadline,
 		Interrupt:     st.Interrupt,
 		Deterministic: cfg.Deterministic,
-		Seed:          cfg.Seed,
 	})
 	work := cres.Work
 	if cfg.Deterministic {
@@ -62,8 +59,8 @@ func passCubeSolve(st *pipeline.State) pipeline.Verdict {
 			work = workCap
 		}
 		// Virtual wall time is the makespan — the legs' critical path
-		// across CubeJobs workers — clamped to the request budget exactly
-		// as the sequential solve's own time is.
+		// across GOMAXPROCS workers — clamped to the request budget
+		// exactly as the sequential solve's own time is.
 		charged := cres.Makespan
 		if cres.TimedOut || charged > solveBudget {
 			charged = solveBudget

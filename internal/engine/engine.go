@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"staub/internal/chaos"
@@ -139,11 +138,6 @@ type Engine struct {
 	cache    *Cache
 	inFlight metrics.Gauge   // jobs currently executing (batch or single)
 	panics   metrics.Counter // worker-level recovered panics
-	// OnProgress, when non-nil, is called after each job completes with
-	// the number of completed jobs and the batch size. Calls may come from
-	// any worker goroutine but are serialized.
-	OnProgress func(done, total int)
-	progressMu sync.Mutex
 }
 
 // New returns an engine with the given worker count (≤ 0 selects
@@ -211,7 +205,6 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []Result {
 	}
 	feed := make(chan int)
 	executed := make([]bool, len(jobs))
-	var done atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -233,12 +226,6 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []Result {
 					results[i] = e.runOne(ctx, jobs[i], true)
 				}()
 				executed[i] = true
-				n := int(done.Add(1))
-				if e.OnProgress != nil {
-					e.progressMu.Lock()
-					e.OnProgress(n, len(jobs))
-					e.progressMu.Unlock()
-				}
 			}
 		}()
 	}

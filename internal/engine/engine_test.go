@@ -162,7 +162,7 @@ func TestCacheKeyDistinguishesConfig(t *testing.T) {
 }
 
 // TestCacheKeyCoversEveryConfigField walks every field of core.Config,
-// recursing into nested structs such as absint.Limits, sets it to a
+// recursing into nested structs, sets it to a
 // non-zero value and requires the key of a pipeline and a portfolio job to
 // change. A field added to Config but not to Job.Key's format string
 // fails here instead of serving another configuration's cached verdict.

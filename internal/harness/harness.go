@@ -80,13 +80,11 @@ type Options struct {
 	// Cache, when non-nil, memoizes solves across runs and experiments;
 	// identical (constraint, configuration) jobs are solved once.
 	Cache *engine.Cache
-	// CubeVars, CubeJobs and CubeShareLBD, when CubeVars is positive,
-	// replace every pipeline measurement's bounded solve with
-	// cube-and-conquer over 2^CubeVars assumption cubes. Defaults keep
-	// the sequential solve, so published tables are unchanged.
-	CubeVars     int
-	CubeJobs     int
-	CubeShareLBD int
+	// CubeVars, when positive, replaces every pipeline measurement's
+	// bounded solve with cube-and-conquer over 2^CubeVars assumption
+	// cubes. Zero keeps the sequential solve, so published tables are
+	// unchanged.
+	CubeVars int
 }
 
 func (o Options) withDefaults() Options {
@@ -207,8 +205,6 @@ func modeConfig(m Mode, profile solver.Profile, o Options) core.Config {
 		Profile:       profile,
 		Deterministic: true,
 		CubeVars:      o.CubeVars,
-		CubeJobs:      o.CubeJobs,
-		CubeShareLBD:  o.CubeShareLBD,
 	}
 	switch m {
 	case ModeFixed8:

@@ -66,7 +66,7 @@ func passInferApriori(st *pipeline.State) pipeline.Verdict {
 		return pipeline.Continue
 	}
 	if !usesIntDivMod(src) {
-		if width, hints, root, ok := certify(src, st.Cfg.Limits); ok {
+		if width, hints, root, ok := certify(src); ok {
 			st.Width = width
 			st.Hints = hints
 			st.Root = root
@@ -129,15 +129,7 @@ func usesIntDivMod(c *smt.Constraint) bool {
 // certify attempts to derive a complete bitvector width for c. On
 // success it returns the width to translate at, per-variable range hints
 // (nil for the small-model path), and the raw sound root width.
-func certify(c *smt.Constraint, lim absint.Limits) (int, map[string]int, int, bool) {
-	maxW := lim.MaxWidth
-	if maxW <= 0 {
-		maxW = 64
-	}
-	minW := lim.MinWidth
-	if minW <= 0 {
-		minW = 4
-	}
+func certify(c *smt.Constraint) (int, map[string]int, int, bool) {
 	atoms, complete := collectAtoms(c.Assertions)
 	iv := propagate(intVarNames(c.Vars), atoms)
 
@@ -164,22 +156,18 @@ func certify(c *smt.Constraint, lim absint.Limits) (int, map[string]int, int, bo
 			return 0, nil, 0, false
 		}
 		bits := smallModelBits(c, atoms)
-		if bits <= 0 || bits > maxW {
+		if bits <= 0 || bits > absint.MaxWidth {
 			return 0, nil, 0, false
 		}
 		x = bits
 		hints = nil
 	}
 	inf := absint.InferIntWith(c, x, absint.SemSound)
-	if inf.Root > maxW {
+	if inf.Root > absint.MaxWidth {
 		return 0, nil, 0, false
 	}
-	width := inf.Root
-	if width < minW {
-		// Widening preserves completeness; narrowing never would.
-		width = minW
-	}
-	return width, hints, inf.Root, true
+	// Widening preserves completeness; narrowing never would.
+	return max(inf.Root, absint.MinWidth), hints, inf.Root, true
 }
 
 // boundWidth is the signed bitvector width that holds every value of the

@@ -3,13 +3,12 @@ package overapprox
 import (
 	"fmt"
 
-	"staub/internal/absint"
 	"staub/internal/smt"
 )
 
-// Certify runs certify at the default width limits.
+// Certify runs certify.
 func Certify(c *smt.Constraint) (width int, hints map[string]int, root int, ok bool) {
-	return certify(c, absint.Limits{})
+	return certify(c)
 }
 
 // DerivedBounds runs deriveIntervals over c and renders every variable

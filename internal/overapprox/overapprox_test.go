@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"staub/internal/absint"
 	"staub/internal/interval"
 	"staub/internal/metrics"
 	"staub/internal/pipeline"
@@ -292,7 +291,7 @@ func TestCertifyWidthDeterministic(t *testing.T) {
 		(check-sat)`
 	first := -1
 	for i := 0; i < 20; i++ {
-		width, _, _, ok := certify(parse(t, src), absint.Limits{})
+		width, _, _, ok := certify(parse(t, src))
 		if !ok {
 			t.Fatal("certification failed")
 		}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"staub/internal/absint"
 	"staub/internal/metrics"
 	"staub/internal/smt"
 	"staub/internal/solver"
@@ -126,27 +127,17 @@ func RunOnce(ctx context.Context, c *smt.Constraint, cfg Config, deadline time.T
 	return *res
 }
 
-// maxRefineWidth is the widest bitvector sort refinement may reach for
-// cfg: the configured limit, or 64 (machine-word semantics) when unset.
-func maxRefineWidth(cfg Config) int {
-	if cfg.Limits.MaxWidth > 0 {
-		return cfg.Limits.MaxWidth
-	}
-	return 64
-}
-
 // RunFresh is the reference refinement loop: every round rebuilds the
 // full transform-solve-verify pipeline from scratch at the widened width.
 func RunFresh(ctx context.Context, c *smt.Constraint, cfg Config, deadline time.Time, interrupt *atomic.Bool) Result {
 	res := RunOnce(ctx, c, cfg, deadline, interrupt)
-	maxWidth := maxRefineWidth(cfg)
 	width := res.Width
 	for round := 1; round <= cfg.RefineRounds; round++ {
 		if res.Outcome != OutcomeBoundedUnsat || width == 0 {
 			break
 		}
 		width *= cfg.widthStep()
-		if width > maxWidth {
+		if width > absint.MaxWidth {
 			break
 		}
 		// Out of budget: virtual in deterministic mode, wall otherwise.
@@ -218,7 +209,6 @@ func RunSession(ctx context.Context, c *smt.Constraint, cfg Config, deadline tim
 		return *res
 	}
 	width := st.Width
-	maxWidth := maxRefineWidth(cfg)
 
 	st.Session = sess
 	res.InferredRoot = st.Root
@@ -248,7 +238,7 @@ func RunSession(ctx context.Context, c *smt.Constraint, cfg Config, deadline tim
 			break
 		}
 		next := width * cfg.widthStep()
-		if width == 0 || next > maxWidth {
+		if width == 0 || next > absint.MaxWidth {
 			break
 		}
 		// Out of budget: virtual in deterministic mode, wall otherwise.

@@ -48,7 +48,7 @@ func FailTransform(st *State, err error) Verdict {
 // passInferBounds classifies the constraint's theory and selects the
 // bounded sorts: the fixed-width ablation takes the configured width
 // directly; otherwise abstract interpretation infers the root bound and
-// the limits clamp it (Figure 3, step 1).
+// absint's sort bounds clamp it (Figure 3, step 1).
 func passInferBounds(st *State) Verdict {
 	c, cfg := st.Original, st.Cfg
 	kind, err := translate.Classify(c)
@@ -72,16 +72,13 @@ func passInferBounds(st *State) Verdict {
 	case translate.KindIntToBV:
 		st.IntX = absint.DefaultIntX(c)
 		inf := absint.InferIntWith(c, st.IntX, absint.SemPractical)
-		st.Width = absint.SelectBVWidth(inf.Root, cfg.Limits)
+		st.Width = absint.SelectBVWidth(inf.Root)
 		st.Root = inf.Root
 		if cfg.StartWidth > 0 {
 			// Per-session refinement strategy: start at the requested
-			// precision (clamped to the configured ceiling) regardless of
-			// the inferred bound; refinement rounds widen from there.
-			st.Width = cfg.StartWidth
-			if max := maxRefineWidth(cfg); st.Width > max {
-				st.Width = max
-			}
+			// precision (clamped to the widest width) regardless of the
+			// inferred bound; refinement rounds widen from there.
+			st.Width = min(cfg.StartWidth, absint.MaxWidth)
 			st.SpanNote = fmt.Sprintf("width=%d (start-width) root=%d", st.Width, st.Root)
 			return Continue
 		}
@@ -89,7 +86,7 @@ func passInferBounds(st *State) Verdict {
 	default:
 		x := absint.DefaultRealX(c)
 		inf := absint.InferReal(c, x)
-		st.FPSort = absint.SelectFPSort(inf.Root, cfg.Limits)
+		st.FPSort = absint.SelectFPSort(inf.Root)
 		st.Root = inf.Root.M + inf.Root.P
 		st.SpanNote = fmt.Sprintf("fpsort=%v root=%d", st.FPSort, st.Root)
 	}

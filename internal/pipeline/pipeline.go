@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"staub/internal/absint"
 	"staub/internal/chaos"
 	"staub/internal/eval"
 	"staub/internal/smt"
@@ -29,8 +28,6 @@ import (
 
 // Config controls a STAUB run.
 type Config struct {
-	// Limits bounds the sorts bound inference may select.
-	Limits absint.Limits
 	// FixedWidth, when positive, bypasses abstract interpretation and
 	// uses the given width for every constraint (the paper's fixed-width
 	// ablation).
@@ -84,15 +81,6 @@ type Config struct {
 	// variables and the cubes are raced with LBD-filtered clause sharing.
 	// Zero keeps the sequential solve.
 	CubeVars int
-	// CubeJobs bounds concurrent cube legs (≤ 0 selects GOMAXPROCS). In
-	// deterministic mode it only enters the virtual-time makespan — leg
-	// execution order is fixed — so verdicts are identical for every
-	// value.
-	CubeJobs int
-	// CubeShareLBD is the glue cutoff for inter-leg clause sharing: legs
-	// exchange learned clauses with LBD at most this value (default 2,
-	// the classic glue tier; negative disables sharing).
-	CubeShareLBD int
 	// OverApprox switches Run to the over-approximating assembly
 	// (linearize-nia, infer-apriori-bounds, translate, bounded-solve,
 	// verify-model): nonlinear products are abstracted away with eager

@@ -52,7 +52,7 @@ func TestWireJobRoundTrip(t *testing.T) {
 		{Kind: engine.KindPipeline, Constraint: c, Config: core.Config{
 			Timeout: time.Second, Profile: solver.Prima, Trace: true,
 			RefineRounds: 2, Seed: 9, Deterministic: true, StartWidth: 4,
-			WidthStep: 2, CubeVars: 3, CubeJobs: 2, CubeShareLBD: 4, OverApprox: true}},
+			WidthStep: 2, CubeVars: 3, OverApprox: true}},
 		{Kind: engine.KindPortfolio, Constraint: c, Config: core.Config{
 			Timeout: 2 * time.Second, FixedWidth: 16, RangeHints: true, FreshRefine: true}},
 		{Kind: engine.KindPipeline, Constraint: c, Config: everyConfigField(t)},
@@ -80,8 +80,8 @@ func TestWireJobRoundTrip(t *testing.T) {
 	}
 }
 
-// everyConfigField returns a Config with every field, nested ones such as
-// absint.Limits included, set to a distinct non-zero value (the profile
+// everyConfigField returns a Config with every field, nested ones
+// included, set to a distinct non-zero value (the profile
 // to Secunda, the only valid non-zero one), so a field that stops
 // surviving JSON fails the round trip.
 func everyConfigField(t *testing.T) core.Config {

@@ -46,7 +46,7 @@ func TestCloneSolvesAlike(t *testing.T) {
 		if err := bitblast.New(s).Encode(tr.Bounded); err != nil {
 			t.Fatal(err)
 		}
-		s.Preprocess(sat.PreprocessOptions{})
+		s.Preprocess()
 		cloneAlike(t, s, sat.Sat)
 	})
 }
@@ -96,7 +96,6 @@ func statsDelta(after, before sat.Stats) sat.Stats {
 		Deleted:      after.Deleted - before.Deleted,
 		Subsumed:     after.Subsumed - before.Subsumed,
 		Strengthened: after.Strengthened - before.Strengthened,
-		Eliminated:   after.Eliminated - before.Eliminated,
 	}
 	for i := range d.LBDHist {
 		d.LBDHist[i] = after.LBDHist[i] - before.LBDHist[i]

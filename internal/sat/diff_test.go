@@ -75,9 +75,11 @@ func rand3SAT(rng *rand.Rand, nVars int) [][]Lit {
 }
 
 // TestSATDiffOracle cross-checks every solver configuration — default
-// settings, an aggressive reduceDB schedule, and preprocessing with and
-// without variable elimination — against the brute-force oracle on the
-// same instances.
+// settings, an aggressive reduceDB schedule, and preprocessing — against
+// the brute-force oracle on the same instances: 300 mixed-width CNFs,
+// which unit propagation settles, then 100 random 3-SAT instances at the
+// satisfiability threshold, which make the solver learn and the glue
+// configuration reduce its clause database.
 func TestSATDiffOracle(t *testing.T) {
 	configs := []struct {
 		name string
@@ -94,33 +96,50 @@ func TestSATDiffOracle(t *testing.T) {
 		}},
 		{"glue+subsume", func(n int, cls [][]Lit) (*Solver, Status) {
 			s := buildSolver(n, cls)
-			s.Preprocess(PreprocessOptions{})
-			return s, s.Solve()
-		}},
-		{"glue+varelim", func(n int, cls [][]Lit) (*Solver, Status) {
-			s := buildSolver(n, cls)
-			s.Preprocess(PreprocessOptions{VarElim: true, MaxOccur: 6})
+			s.Preprocess()
 			return s, s.Solve()
 		}},
 	}
+	type instance struct {
+		nVars   int
+		clauses [][]Lit
+	}
 	rng := rand.New(rand.NewSource(2026))
-	for iter := 0; iter < 300; iter++ {
+	var insts []instance
+	for i := 0; i < 300; i++ {
 		nVars := 3 + rng.Intn(10) // ≤ 12 vars: oracle stays instant
-		nClauses := 2 + rng.Intn(40)
-		clauses := randCNF(rng, nVars, nClauses)
+		insts = append(insts, instance{nVars, randCNF(rng, nVars, 2+rng.Intn(40))})
+	}
+	// The 3-SAT instances come from a stream of their own, so a change to
+	// the mixed-width draws above leaves them as they are.
+	rng3 := rand.New(rand.NewSource(2026))
+	for i := 0; i < 100; i++ {
+		nVars := 12 + rng3.Intn(5) // ≤ 16 vars: 2^16 assignments to enumerate
+		insts = append(insts, instance{nVars, rand3SAT(rng3, nVars)})
+	}
+	var glue Stats
+	for iter, inst := range insts {
 		want := Unsat
-		if bruteForceSat(nVars, clauses) {
+		if bruteForceSat(inst.nVars, inst.clauses) {
 			want = Sat
 		}
 		for _, cfg := range configs {
-			s, got := cfg.run(nVars, clauses)
+			s, got := cfg.run(inst.nVars, inst.clauses)
 			if got != want {
 				t.Fatalf("iter %d cfg %s: Solve() = %v, oracle says %v", iter, cfg.name, got, want)
 			}
 			if got == Sat {
-				checkModel(t, cfg.name, s, clauses)
+				checkModel(t, cfg.name, s, inst.clauses)
+			}
+			if cfg.name == "glue" {
+				glue.Conflicts += s.Stats.Conflicts
+				glue.Reductions += s.Stats.Reductions
 			}
 		}
+	}
+	if glue.Conflicts == 0 || glue.Reductions == 0 {
+		t.Fatalf("glue configuration made %d conflicts and %d reductions over %d instances; the oracle checks no learnt clause",
+			glue.Conflicts, glue.Reductions, len(insts))
 	}
 }
 
@@ -184,7 +203,7 @@ func TestSATDiffInprocessing(t *testing.T) {
 		clauses := randCNF(rng, nVars, 2+rng.Intn(25))
 		inc := buildSolver(nVars, clauses)
 		for round := 0; round < 6; round++ {
-			inc.Preprocess(PreprocessOptions{})
+			inc.Preprocess()
 			var assumptions []Lit
 			if rng.Intn(2) == 0 {
 				v := rng.Intn(nVars)
@@ -232,7 +251,7 @@ func TestSATDiffGrowingDatabase(t *testing.T) {
 			}
 			// Retire the round and inprocess, as bitblast.Session does.
 			inc.AddClause(act.Not())
-			inc.Preprocess(PreprocessOptions{})
+			inc.Preprocess()
 			freshBase := buildSolver(nVars, base)
 			want = freshBase.Solve()
 			if got := inc.Solve(); got != want {
@@ -248,9 +267,9 @@ func TestSATDiffGrowingDatabase(t *testing.T) {
 // consequence of the original clauses and the clauses learnt before it.
 // Falsifying all its literals and propagating must reach a conflict. A
 // minimizer that drops one literal too many learns a clause that is not
-// implied, and this fails. TestSATDiffOracle's mixed-width CNFs are
-// settled by propagation alone (a quarter of their clauses are units), so
-// this draws random 3-SAT.
+// implied, and this fails. It draws random 3-SAT at the threshold, wider
+// than the oracle can enumerate, so the solver learns thousands of
+// clauses.
 func TestLearntClausesAreRUP(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	checked := 0

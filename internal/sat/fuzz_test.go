@@ -40,7 +40,7 @@ func FuzzDIMACS(f *testing.F) {
 		units := append([]Lit(nil), s.unitsOnTrail()...)
 		s.ConflictCap = 10_000
 		s.ReduceFirst = 64
-		s.Preprocess(PreprocessOptions{VarElim: true})
+		s.Preprocess()
 		st := s.Solve()
 		if st == Sat {
 			for ci, cl := range clauses {

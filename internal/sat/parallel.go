@@ -61,9 +61,6 @@ func (s *Solver) ImportClauses(cls []SharedClause) {
 // empties proves the formula unsat (imports derive from the shared clause
 // database by resolution, never from the exporter's assumptions, so the
 // refutation holds for the base formula); a unit is enqueued at level 0.
-// Clauses mentioning a variable this replica eliminated are dropped —
-// elimination already rewrote the watch structures that clause would
-// need, and dropping a redundant clause is always sound.
 func (s *Solver) drainImports() {
 	s.importMu.Lock()
 	pending := s.imports
@@ -76,9 +73,6 @@ next:
 	for _, imp := range pending {
 		out := imp.Lits[:0]
 		for _, l := range imp.Lits {
-			if s.flags[l.Var()].elim {
-				continue next
-			}
 			switch s.litValue(l) {
 			case lTrue:
 				continue next
@@ -118,19 +112,16 @@ next:
 
 // TopActiveVars returns up to n variable indices ranked by VSIDS
 // activity, highest first (ties broken toward lower indices for
-// determinism). Eliminated variables and variables already fixed at level
-// 0 are excluded — both are unusable as assumption literals. A probing
-// solve warms the activities; on a fresh solver the ranking degenerates
-// to the first n variables, which is still a valid split.
+// determinism). Variables already fixed at level 0 are excluded — they
+// are unusable as assumption literals. A probing solve warms the
+// activities; on a fresh solver the ranking degenerates to the first n
+// variables, which is still a valid split.
 func (s *Solver) TopActiveVars(n int) []int {
 	if n <= 0 {
 		return nil
 	}
 	cand := make([]int, 0, len(s.vars))
 	for v := range s.vars {
-		if s.flags[v].elim {
-			continue
-		}
 		if s.assigns[PosLit(v)] != lUndef && s.vars[v].level == 0 {
 			continue
 		}
@@ -176,27 +167,17 @@ func (s *Solver) Clone() *Solver {
 		trail:       append([]Lit(nil), s.trail...),
 		qhead:       s.qhead,
 		varInc:      s.varInc,
-		VarDecay:    s.VarDecay,
 		claInc:      s.claInc,
 		claDecay:    s.claDecay,
 		ok:          s.ok,
 		rng:         rand.New(rand.NewSource(1)),
 		ReduceFirst: s.ReduceFirst,
-		RandomFreq:  s.RandomFreq,
 		Deadline:    s.Deadline,
 		interrupted: s.interrupted,
 		seen:        make([]bool, len(s.seen)),
 	}
 	for i, ws := range s.watches {
 		n.watches[i] = append(n.carveWatches(), ws...)
-	}
-	n.elimStack = make([]elimEntry, len(s.elimStack))
-	for i, e := range s.elimStack {
-		cls := make([][]Lit, len(e.clauses))
-		for j, c := range e.clauses {
-			cls[j] = append([]Lit(nil), c...)
-		}
-		n.elimStack[i] = elimEntry{v: e.v, clauses: cls}
 	}
 	n.order.s = n
 	n.order.heap = append([]int32(nil), s.order.heap...)

@@ -1,25 +1,13 @@
 // Pre/inprocessing over the clause database: subsumption and
-// self-subsuming resolution via occurrence lists, and bounded variable
-// elimination (SatELite-style) with model reconstruction.
+// self-subsuming resolution via occurrence lists.
 //
-// Subsumption and self-subsuming resolution are equivalence-preserving,
-// so they are safe under every incremental usage pattern: clauses added
-// later, assumption solving, activation-literal retirement. Bounded
-// variable elimination only preserves equisatisfiability — the eliminated
-// variable's clauses are replaced by their resolvents — so it is gated:
-// frozen variables (Freeze) are never eliminated, and a later AddClause
-// or SolveAssuming over an eliminated variable panics instead of silently
-// computing with an unsound database. The incremental bit-blasting
-// session therefore preprocesses with VarElim off (any variable can gain
-// clauses in a later round), while the one-shot bit-blast path runs full
-// elimination.
+// Both are equivalence-preserving, so they are safe under every
+// incremental usage pattern: clauses added later, assumption solving,
+// activation-literal retirement. The one-shot bit-blast path and every
+// incremental session round run the same pass.
 package sat
 
-import (
-	"sort"
-
-	"staub/internal/chaos"
-)
+import "staub/internal/chaos"
 
 // Chaos fault-injection sites inside the solver (see internal/chaos).
 // They sit on the cold boundaries — preprocessing entry and DB
@@ -67,28 +55,6 @@ func (s *Solver) chaosReduce(f chaos.Fault) (skip bool) {
 	return skip
 }
 
-// PreprocessOptions configures one Preprocess call.
-type PreprocessOptions struct {
-	// VarElim enables bounded variable elimination. Only safe when no
-	// later AddClause or SolveAssuming mentions an eliminated variable;
-	// Freeze exempts individual variables. Subsumption and
-	// self-subsuming resolution run unconditionally — they preserve
-	// logical equivalence and need no gate.
-	VarElim bool
-	// MaxOccur bounds elimination candidates: a variable is only
-	// eliminated when each polarity occurs in at most this many clauses
-	// (default 10). The no-growth rule (resolvents ≤ removed clauses)
-	// applies on top.
-	MaxOccur int
-	// MaxResolvent bounds resolvent width (default 6): elimination is
-	// skipped when any resolvent would carry more literals. The no-growth
-	// rule alone bounds clause count but not width, and wide resolvents
-	// are poison twice over — each watch visit scans more literals, and
-	// chains of eliminations compound the widening until propagation
-	// crawls and the learned clauses degrade.
-	MaxResolvent int
-}
-
 // occScanLimit caps the occurrence-list scans in backward subsumption
 // and self-subsuming resolution. A literal occurring in thousands of
 // clauses makes every clause mentioning its negation pay that scan;
@@ -96,22 +62,14 @@ type PreprocessOptions struct {
 // linear in practice.
 const occScanLimit = 500
 
-// elimEntry records one eliminated variable and the clauses removed with
-// it, for model reconstruction after Sat.
-type elimEntry struct {
-	v       int
-	clauses [][]Lit
-}
-
 // Preprocess simplifies the clause database at decision level 0:
-// level-0 sweep, backward subsumption, self-subsuming resolution, and
-// (when enabled) bounded variable elimination. Call it between solves;
-// pending assumptions do not survive it. It is idempotent and cheap on an
-// already-preprocessed database, which is what makes it usable as
-// per-round inprocessing in incremental sessions. A raised interrupt (see
-// Interrupted) cuts subsumption short and skips elimination; the database
+// level-0 sweep, backward subsumption and self-subsuming resolution. Call
+// it between solves; pending assumptions do not survive it. It is
+// idempotent and cheap on an already-preprocessed database, which is what
+// makes it usable as per-round inprocessing in incremental sessions. A
+// raised interrupt (see Interrupted) cuts subsumption short; the database
 // committed is still equivalent to the input.
-func (s *Solver) Preprocess(opts PreprocessOptions) {
+func (s *Solver) Preprocess() {
 	if !s.ok {
 		return
 	}
@@ -124,20 +82,9 @@ func (s *Solver) Preprocess(opts PreprocessOptions) {
 	if !s.ok {
 		return
 	}
-	if opts.MaxOccur <= 0 {
-		opts.MaxOccur = 10
-	}
-	if opts.MaxResolvent <= 0 {
-		opts.MaxResolvent = 6
-	}
 	p := &preprocessor{s: s}
 	p.init()
 	p.subsumeAll()
-	if s.ok && opts.VarElim && !s.Interrupted() {
-		p.eliminate(opts)
-		// Resolvents open fresh subsumption chances over their neighbors.
-		p.subsumeAll()
-	}
 	p.commit()
 }
 
@@ -147,7 +94,7 @@ func (s *Solver) Preprocess(opts PreprocessOptions) {
 // re-verifies), which keeps strengthening O(1).
 type preprocessor struct {
 	s   *Solver
-	cls [][]Lit  // problem clause literals + added resolvents; nil = deleted
+	cls [][]Lit  // problem clause literals; nil = deleted
 	sig []uint64 // literal-set signature per clause
 	occ [][]int  // literal → clause indices (stale entries allowed)
 	// queue holds clause indices pending a (re-)subsumption pass as the
@@ -160,10 +107,9 @@ func litSig(l Lit) uint64 { return 1 << (uint64(l) % 64) }
 
 func (p *preprocessor) init() {
 	s := p.s
-	// Copy the problem clauses out of the arena into one backing array,
-	// each clause capped at its own length: the working set mutates
-	// freely (strengthening in place, deletion, resolvent adds) and commit
-	// rebuilds the arena from whatever survives.
+	// Copy the problem clauses out of the arena into one backing array:
+	// the working set mutates freely (strengthening in place, deletion)
+	// and commit rebuilds the arena from whatever survives.
 	total, maxLen := 0, 0
 	for _, c := range s.clauses {
 		total += s.clsSize(c)
@@ -360,162 +306,6 @@ func (p *preprocessor) strengthen(j int, lit Lit) {
 	}
 }
 
-// addClause appends a resolvent produced by variable elimination,
-// simplified against level-0 assignments, and queues it for subsumption.
-func (p *preprocessor) addClause(lits []Lit) {
-	s := p.s
-	out := make([]Lit, 0, len(lits))
-	for _, l := range lits {
-		switch s.litValue(l) {
-		case lTrue:
-			return // satisfied at level 0
-		case lFalse:
-			continue
-		}
-		out = append(out, l)
-	}
-	switch len(out) {
-	case 0:
-		s.ok = false
-		return
-	case 1:
-		if !s.enqueue(out[0], crefUndef) {
-			s.ok = false
-		}
-		return
-	}
-	j := len(p.cls)
-	p.cls = append(p.cls, out)
-	var sig uint64
-	for _, l := range out {
-		sig |= litSig(l)
-		p.occ[l] = append(p.occ[l], j)
-	}
-	p.sig = append(p.sig, sig)
-	p.inQ = append(p.inQ, false)
-	p.push(j)
-}
-
-// gather returns the alive clause indices containing l (verifying
-// membership, since occurrence lists may be stale).
-func (p *preprocessor) gather(l Lit) []int {
-	var out []int
-	for _, j := range p.occ[l] {
-		if d := p.cls[j]; d != nil && contains(d, l) {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// eliminate runs bounded variable elimination: cheap variables first,
-// each eliminated only when its resolvent set is no larger than the
-// clause set it replaces (the classic no-growth rule). Pure literals
-// eliminate with no resolvents at all.
-func (p *preprocessor) eliminate(opts PreprocessOptions) {
-	s := p.s
-	type cand struct{ v, occur int }
-	var cands []cand
-	for v, f := range s.flags {
-		if f.frozen || f.elim || s.assigns[PosLit(v)] != lUndef {
-			continue
-		}
-		n := len(p.occ[PosLit(v)]) + len(p.occ[NegLit(v)])
-		if n > 0 {
-			cands = append(cands, cand{v, n})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].occur != cands[b].occur {
-			return cands[a].occur < cands[b].occur
-		}
-		return cands[a].v < cands[b].v
-	})
-	for _, cd := range cands {
-		if !s.ok {
-			return
-		}
-		v := cd.v
-		if s.assigns[PosLit(v)] != lUndef {
-			continue // a unit produced meanwhile fixed it
-		}
-		pos, neg := p.gather(PosLit(v)), p.gather(NegLit(v))
-		if len(pos) == 0 && len(neg) == 0 {
-			continue
-		}
-		if len(pos) > opts.MaxOccur || len(neg) > opts.MaxOccur {
-			continue
-		}
-		// Build the non-tautological resolvents; give up past the
-		// no-growth bound or the width bound.
-		bound := len(pos) + len(neg)
-		var resolvents [][]Lit
-		grew := false
-		for _, pj := range pos {
-			for _, nj := range neg {
-				r, taut := resolve(p.cls[pj], p.cls[nj], v)
-				if taut {
-					continue
-				}
-				if len(r) > opts.MaxResolvent {
-					grew = true
-					break
-				}
-				resolvents = append(resolvents, r)
-				if len(resolvents) > bound {
-					grew = true
-					break
-				}
-			}
-			if grew {
-				break
-			}
-		}
-		if grew {
-			continue
-		}
-		// Commit the elimination: save the removed clauses for model
-		// reconstruction, delete them, add the resolvents.
-		entry := elimEntry{v: v}
-		for _, j := range append(append([]int(nil), pos...), neg...) {
-			entry.clauses = append(entry.clauses, append([]Lit(nil), p.cls[j]...))
-			p.cls[j] = nil
-		}
-		s.elimStack = append(s.elimStack, entry)
-		s.flags[v].elim = true
-		s.Stats.Eliminated++
-		for _, r := range resolvents {
-			p.addClause(r)
-			if !s.ok {
-				return
-			}
-		}
-	}
-}
-
-// resolve computes the resolvent of pc (containing v positively) and nc
-// (containing v negatively) on v, reporting tautologies.
-func resolve(pc, nc []Lit, v int) (out []Lit, taut bool) {
-	out = make([]Lit, 0, len(pc)+len(nc)-2)
-	for _, l := range pc {
-		if l.Var() != v {
-			out = append(out, l)
-		}
-	}
-	for _, l := range nc {
-		if l.Var() == v {
-			continue
-		}
-		if contains(out, l.Not()) {
-			return nil, true
-		}
-		if !contains(out, l) {
-			out = append(out, l)
-		}
-	}
-	return out, false
-}
-
 // commit rebuilds the arena from the surviving working set — problem
 // clauses first, then the untouched learned clauses (headers preserved) —
 // which doubles as the compaction point reclaiming every hole deletion
@@ -568,48 +358,4 @@ func (p *preprocessor) commit() {
 	if s.propagate() != crefUndef {
 		s.ok = false
 	}
-}
-
-// extendModel reconstructs values for eliminated variables after a Sat
-// search by walking the elimination stack in reverse: when v was
-// eliminated, its saved clauses mention only variables eliminated later
-// (already reconstructed) or still in the problem (assigned by search),
-// so each saved clause is decidable except for its v-literal. All
-// resolvents are satisfied, so the positive- and negative-occurrence
-// clauses can never force v both ways.
-func (s *Solver) extendModel() {
-	for i := len(s.elimStack) - 1; i >= 0; i-- {
-		e := &s.elimStack[i]
-		val := false
-		for _, cl := range e.clauses {
-			forced := false
-			pos := false
-			for _, l := range cl {
-				if l.Var() == e.v {
-					pos = !l.Sign()
-					continue
-				}
-				if s.modelLit(l) {
-					forced = false
-					break
-				}
-				forced = true
-			}
-			if forced && pos {
-				val = true
-				break
-			}
-		}
-		s.flags[e.v].elimVal = val
-	}
-}
-
-// modelLit reports l's truth under the current model, consulting
-// reconstructed values for eliminated variables.
-func (s *Solver) modelLit(l Lit) bool {
-	v := l.Var()
-	if f := s.flags[v]; f.elim {
-		return f.elimVal != l.Sign()
-	}
-	return (s.assigns[PosLit(v)] == lTrue) != l.Sign()
 }

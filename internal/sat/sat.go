@@ -4,10 +4,10 @@
 // learnt-clause minimization (Sörensson & Biere), VSIDS variable
 // activity, phase saving, Luby restarts, glue-based (LBD) learned-clause
 // management with aggressive DB reduction on a geometric schedule, and a
-// pre/inprocessing pass (subsumption, self-subsuming resolution, bounded
-// variable elimination — see preprocess.go). It is the backend for
-// package bitblast, giving this repository the standard production
-// pipeline for deciding the bounded constraints STAUB produces.
+// pre/inprocessing pass (subsumption and self-subsuming resolution — see
+// preprocess.go). It is the backend for package bitblast, giving this
+// repository the standard production pipeline for deciding the bounded
+// constraints STAUB produces.
 //
 // Clauses live in a single flat arena ([]Lit) addressed by integer
 // references (cref), MiniSat-allocator style: a clause is a three-word
@@ -23,11 +23,11 @@
 // Per-variable state is split by access pattern: the {level, reason}
 // pair that propagation, conflict analysis and backtracking touch is
 // eight bytes a variable, VSIDS reads a dense activity array and a
-// heap-position array, and the flags propagation never reads (saved
-// phase, elimination, freezing) sit in an array of their own. Each
-// literal's watch list starts with watchInit slots carved from a shared
-// block of watchBlock watchers, so a formula costs one allocation per
-// block instead of a list grown from nil per literal. The trade-off is
+// heap-position array, and the saved phase, which propagation never
+// reads, sits in an array of its own. Each literal's watch list starts
+// with watchInit slots carved from a shared block of watchBlock
+// watchers, so a formula costs one allocation per block instead of a
+// list grown from nil per literal. The trade-off is
 // memory: a list that outgrows its slots moves to an array of its own,
 // and the slots it leaves are held with their block until the solver is
 // dropped. AddClause and conflict analysis work in buffers reused across
@@ -122,6 +122,16 @@ const (
 	deletedFlag = 4
 )
 
+// varDecay is the VSIDS activity decay factor: each conflict divides the
+// bump increment by it, so lower values focus the search harder on recent
+// conflicts.
+const varDecay = 0.8
+
+// randomFreq is the probability of a random branching decision; a small
+// positive value makes the search robust against pathological activity
+// orderings.
+const randomFreq = 0.02
+
 // glueLBD is the glue tier boundary: learned clauses with LBD at or below
 // it are never evicted (they connect few decision levels and re-derive
 // constantly if dropped).
@@ -211,9 +221,6 @@ type varInfo struct {
 type varFlags struct {
 	phase   bool // saved phase
 	polInit bool
-	elim    bool // removed by bounded variable elimination
-	elimVal bool // value reconstructed for an eliminated variable
-	frozen  bool // exempt from variable elimination (see Freeze)
 }
 
 // LBDBuckets is the size of the learning-time LBD histogram in Stats:
@@ -237,12 +244,11 @@ type Stats struct {
 	// clauses they evicted.
 	Reductions int64
 	Deleted    int64
-	// Subsumed, Strengthened and Eliminated count preprocessing effects:
-	// clauses removed by subsumption, literals removed by self-subsuming
-	// resolution, and variables removed by bounded elimination.
+	// Subsumed and Strengthened count preprocessing effects: clauses
+	// removed by subsumption and literals removed by self-subsuming
+	// resolution.
 	Subsumed     int64
 	Strengthened int64
-	Eliminated   int64
 }
 
 // Solver is an incremental CDCL SAT solver: construct, add clauses, call
@@ -269,11 +275,8 @@ type Solver struct {
 	trailLim []int
 	qhead    int
 
-	order  varHeap
-	varInc float64
-	// VarDecay is the VSIDS activity decay factor in (0, 1); lower values
-	// focus the search harder on recent conflicts. Set before Solve.
-	VarDecay float64
+	order    varHeap
+	varInc   float64
 	claInc   float64
 	claDecay float64
 
@@ -292,15 +295,6 @@ type Solver struct {
 	// pass over a clause counts its distinct levels without clearing.
 	lbdSeen []int64
 	lbdTick int64
-
-	// elimStack records bounded variable elimination in order, for model
-	// reconstruction after Sat.
-	elimStack []elimEntry
-
-	// RandomFreq is the probability of a random branching decision in
-	// [0, 1); a small positive value makes the search robust against
-	// pathological activity orderings. Set before Solve.
-	RandomFreq float64
 
 	// Budget controls.
 	Deadline time.Time // zero means none
@@ -357,11 +351,9 @@ type Solver struct {
 func New() *Solver {
 	s := &Solver{
 		varInc:      1,
-		VarDecay:    0.8,
 		claInc:      1,
 		claDecay:    0.999,
 		ok:          true,
-		RandomFreq:  0.02,
 		ReduceFirst: 2000,
 		rng:         rand.New(rand.NewSource(1)),
 	}
@@ -386,25 +378,18 @@ func (s *Solver) NumLearnts() int { return len(s.learnts) }
 // MemoryBytes is the solver's retained heap, for session memory budgets:
 // the capacity of every array the solver holds — the clause arena and
 // reference lists, each literal's watch list and the watch block's
-// uncarved tail, the per-variable and per-literal arrays, the trail and
-// the elimination stack. Capacity is what the GC actually holds (a popped
-// arena still pins its backing array). Per-call scratch buffers and
-// fixed-size fields are left out. It must stay cheap: callers invoke it
-// after every check.
+// uncarved tail, the per-variable and per-literal arrays and the trail.
+// Capacity is what the GC actually holds (a popped arena still pins its
+// backing array). Per-call scratch buffers and fixed-size fields are left
+// out. It must stay cheap: callers invoke it after every check.
 func (s *Solver) MemoryBytes() int64 {
 	n := sliceBytes(s.arena) + sliceBytes(s.clauses) + sliceBytes(s.learnts) +
 		sliceBytes(s.watches) + sliceBytes(s.watchSlab) +
 		sliceBytes(s.vars) + sliceBytes(s.act) + sliceBytes(s.heapIdx) + sliceBytes(s.flags) +
 		sliceBytes(s.seen) + sliceBytes(s.order.heap) + sliceBytes(s.assigns) +
-		sliceBytes(s.trail) + sliceBytes(s.trailLim) + sliceBytes(s.lbdSeen) + sliceBytes(s.elimStack)
+		sliceBytes(s.trail) + sliceBytes(s.trailLim) + sliceBytes(s.lbdSeen)
 	for _, ws := range s.watches {
 		n += sliceBytes(ws)
-	}
-	for _, e := range s.elimStack {
-		n += sliceBytes(e.clauses)
-		for _, c := range e.clauses {
-			n += sliceBytes(c)
-		}
 	}
 	return n
 }
@@ -543,13 +528,6 @@ func (s *Solver) carveWatches() []watcher {
 	return ws
 }
 
-// Freeze exempts v from bounded variable elimination. Callers must freeze
-// any variable they will later pass to SolveAssuming or mention in an
-// AddClause after a Preprocess with variable elimination enabled:
-// elimination only preserves equisatisfiability, so new constraints over
-// an eliminated variable would be unsound.
-func (s *Solver) Freeze(v int) { s.flags[v].frozen = true }
-
 // AddClause adds a clause over existing variables. It returns false if the
 // solver is already known unsatisfiable at the top level. The solver
 // backtracks to decision level 0 first, so clauses may be added between
@@ -563,9 +541,6 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// Simplify: drop duplicate and false literals, detect tautologies.
 	out := s.addBuf[:0]
 	for _, l := range lits {
-		if s.flags[l.Var()].elim {
-			panic("sat: AddClause over an eliminated variable (Freeze it before Preprocess)")
-		}
 		switch s.litValue(l) {
 		case lTrue:
 			return true // already satisfied at level 0
@@ -625,14 +600,7 @@ func (s *Solver) attach(c cref) {
 func (s *Solver) litValue(l Lit) lbool { return s.assigns[l] }
 
 // Value returns the model value of variable v after a Sat result.
-// Eliminated variables report the value reconstructed from their saved
-// clauses (see Preprocess).
-func (s *Solver) Value(v int) bool {
-	if f := s.flags[v]; f.elim {
-		return f.elimVal
-	}
-	return s.assigns[PosLit(v)] == lTrue
-}
+func (s *Solver) Value(v int) bool { return s.assigns[PosLit(v)] == lTrue }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
@@ -969,11 +937,6 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 	if !s.ok {
 		return Unsat
 	}
-	for _, a := range assumptions {
-		if s.flags[a.Var()].elim {
-			panic("sat: assumption over an eliminated variable (Freeze it before Preprocess)")
-		}
-	}
 	s.assumptions = append(s.assumptions[:0], assumptions...)
 	s.failed = s.failed[:0]
 	var restartN int64
@@ -981,9 +944,6 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 		restartN++
 		budget := 100 * luby(restartN)
 		st := s.search(budget)
-		if st == Sat {
-			s.extendModel()
-		}
 		if st != Unknown {
 			return st
 		}
@@ -1097,7 +1057,7 @@ func (s *Solver) search(conflictBudget int64) Status {
 				s.bumpClause(c)
 				s.enqueue(learnt[0], c)
 			}
-			s.varInc /= s.VarDecay
+			s.varInc /= varDecay
 			s.claInc /= s.claDecay
 			if conflicts >= conflictBudget {
 				return Unknown
@@ -1150,17 +1110,15 @@ func (s *Solver) search(conflictBudget int64) Status {
 }
 
 func (s *Solver) pickBranchVar() int {
-	// Eliminated variables are skipped everywhere: no problem clause
-	// mentions them, and their model values come from reconstruction.
-	if s.RandomFreq > 0 && s.rng.Float64() < s.RandomFreq && len(s.vars) > 0 {
+	if s.rng.Float64() < randomFreq && len(s.vars) > 0 {
 		v := s.rng.Intn(len(s.vars))
-		if s.assigns[PosLit(v)] == lUndef && !s.flags[v].elim {
+		if s.assigns[PosLit(v)] == lUndef {
 			return v
 		}
 	}
 	for s.order.size() > 0 {
 		v := s.order.pop()
-		if s.assigns[PosLit(v)] == lUndef && !s.flags[v].elim {
+		if s.assigns[PosLit(v)] == lUndef {
 			return v
 		}
 	}

@@ -436,7 +436,7 @@ func TestPreprocessInterruptStopsSubsumption(t *testing.T) {
 		return s
 	}
 	full := build()
-	full.Preprocess(PreprocessOptions{})
+	full.Preprocess()
 	if full.Stats.Subsumed != 600 {
 		t.Fatalf("uninterrupted Subsumed = %d, want 600", full.Stats.Subsumed)
 	}
@@ -444,7 +444,7 @@ func TestPreprocessInterruptStopsSubsumption(t *testing.T) {
 	stop.Store(true)
 	cut := build()
 	cut.SetInterrupt(&stop)
-	cut.Preprocess(PreprocessOptions{})
+	cut.Preprocess()
 	if cut.Stats.Subsumed != 0 || cut.NumClauses() != 1200 {
 		t.Fatalf("interrupted Preprocess: Subsumed = %d, %d clauses; want 0 and 1200",
 			cut.Stats.Subsumed, cut.NumClauses())
@@ -455,15 +455,15 @@ func TestPreprocessInterruptStopsSubsumption(t *testing.T) {
 	}
 }
 
-// TestPreprocessCounters pins exact subsumption / self-subsumption /
-// elimination accounting on hand-built databases.
+// TestPreprocessCounters pins exact subsumption and self-subsumption
+// accounting on hand-built databases.
 func TestPreprocessCounters(t *testing.T) {
 	t.Run("subsumption", func(t *testing.T) {
 		s := New()
 		a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
 		s.AddClause(PosLit(a), PosLit(b))
 		s.AddClause(PosLit(a), PosLit(b), PosLit(c))
-		s.Preprocess(PreprocessOptions{})
+		s.Preprocess()
 		if s.Stats.Subsumed != 1 {
 			t.Errorf("Subsumed = %d, want 1", s.Stats.Subsumed)
 		}
@@ -476,7 +476,7 @@ func TestPreprocessCounters(t *testing.T) {
 		a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
 		s.AddClause(PosLit(a), PosLit(b))
 		s.AddClause(NegLit(a), PosLit(b), PosLit(c))
-		s.Preprocess(PreprocessOptions{})
+		s.Preprocess()
 		if s.Stats.Strengthened != 1 {
 			t.Errorf("Strengthened = %d, want 1", s.Stats.Strengthened)
 		}
@@ -490,7 +490,7 @@ func TestPreprocessCounters(t *testing.T) {
 		a, b := s.NewVar(), s.NewVar()
 		s.AddClause(PosLit(a), PosLit(b))
 		s.AddClause(NegLit(a), PosLit(b))
-		s.Preprocess(PreprocessOptions{})
+		s.Preprocess()
 		if s.Stats.Strengthened != 1 {
 			t.Errorf("Strengthened = %d, want 1", s.Stats.Strengthened)
 		}
@@ -500,87 +500,6 @@ func TestPreprocessCounters(t *testing.T) {
 		if !s.Value(b) {
 			t.Error("b not fixed true by unit promotion")
 		}
-	})
-	t.Run("variable elimination", func(t *testing.T) {
-		s := New()
-		x, y, z := s.NewVar(), s.NewVar(), s.NewVar()
-		s.AddClause(PosLit(x), PosLit(y))
-		s.AddClause(NegLit(x), PosLit(z))
-		s.AddClause(PosLit(y), NegLit(z))
-		s.Preprocess(PreprocessOptions{VarElim: true})
-		if s.Stats.Eliminated == 0 {
-			t.Fatal("Eliminated = 0, want > 0")
-		}
-		if st := s.Solve(); st != Sat {
-			t.Fatalf("Solve = %v, want Sat", st)
-		}
-		// The reconstructed model must satisfy the original clauses.
-		orig := [][]Lit{
-			{PosLit(x), PosLit(y)},
-			{NegLit(x), PosLit(z)},
-			{PosLit(y), NegLit(z)},
-		}
-		for ci, cl := range orig {
-			ok := false
-			for _, l := range cl {
-				if s.Value(l.Var()) != l.Sign() {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				t.Errorf("reconstructed model violates original clause %d", ci)
-			}
-		}
-	})
-	t.Run("freeze blocks elimination", func(t *testing.T) {
-		s := New()
-		x, y, z := s.NewVar(), s.NewVar(), s.NewVar()
-		_ = y
-		_ = z
-		s.AddClause(PosLit(x), PosLit(y))
-		s.AddClause(NegLit(x), PosLit(z))
-		s.Freeze(x)
-		s.Preprocess(PreprocessOptions{VarElim: true})
-		if s.flags[x].elim {
-			t.Error("frozen variable was eliminated")
-		}
-	})
-}
-
-// TestEliminatedVarGuards pins the panics protecting the incremental
-// contract: touching an eliminated variable via AddClause or
-// SolveAssuming is a programming error, not a silent unsoundness.
-func TestEliminatedVarGuards(t *testing.T) {
-	build := func() (*Solver, int) {
-		s := New()
-		x, y, z := s.NewVar(), s.NewVar(), s.NewVar()
-		s.AddClause(PosLit(x), PosLit(y))
-		s.AddClause(NegLit(x), PosLit(z))
-		s.AddClause(PosLit(y), NegLit(z))
-		s.Preprocess(PreprocessOptions{VarElim: true})
-		if !s.flags[x].elim {
-			t.Skip("x not eliminated under this policy")
-		}
-		return s, x
-	}
-	t.Run("AddClause", func(t *testing.T) {
-		s, x := build()
-		defer func() {
-			if recover() == nil {
-				t.Error("AddClause over eliminated variable did not panic")
-			}
-		}()
-		s.AddClause(PosLit(x))
-	})
-	t.Run("SolveAssuming", func(t *testing.T) {
-		s, x := build()
-		defer func() {
-			if recover() == nil {
-				t.Error("SolveAssuming over eliminated variable did not panic")
-			}
-		}()
-		s.SolveAssuming(NegLit(x))
 	})
 }
 

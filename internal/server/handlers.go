@@ -23,9 +23,9 @@ import (
 // SolveRequest is the decoded body of POST /v1/solve. The constraint is
 // an SMT-LIB 2 script; the remaining knobs mirror the staub CLI flags.
 // Query parameters (mode, profile, timeout, width, deterministic, trace,
-// over and the cube knobs) override the body fields, so curl users can
-// post a raw .smt2 file and steer the solve from the URL. Unknown JSON
-// fields and query parameters are ignored.
+// over and cube_vars) override the body fields, so curl users can post a
+// raw .smt2 file and steer the solve from the URL. Unknown JSON fields
+// and query parameters are ignored.
 type SolveRequest struct {
 	Constraint string `json:"constraint"`
 	// Mode is pipeline (default), portfolio, or solve (the unmodified
@@ -52,12 +52,6 @@ type SolveRequest struct {
 	// LBD-filtered clause sharing (pipeline mode replaces the bounded
 	// solve; portfolio mode adds a racing cube leg).
 	CubeVars int `json:"cube_vars,omitempty"`
-	// CubeJobs bounds concurrent cube legs (0: GOMAXPROCS; in
-	// deterministic mode it only enters the virtual-time makespan).
-	CubeJobs int `json:"cube_jobs,omitempty"`
-	// CubeShareLBD is the glue cutoff for inter-leg clause sharing
-	// (0: default 2; negative disables sharing).
-	CubeShareLBD int `json:"cube_share_lbd,omitempty"`
 	// Over runs the over-approximation leg: linearized nonlinear
 	// multiplication plus a-priori bound certificates, whose
 	// bounded-unsat is a sound unsat (pipeline mode runs that leg alone;
@@ -207,14 +201,9 @@ func (r *SolveRequest) applyQuery(query url.Values, emptyConstraint bool) error 
 			*p.dst = v == "1" || v == "true"
 		}
 	}
-	for _, p := range []struct {
-		name string
-		dst  *int
-	}{{"cube_vars", &r.CubeVars}, {"cube_jobs", &r.CubeJobs}, {"cube_share_lbd", &r.CubeShareLBD}} {
-		if v := query.Get(p.name); v != "" {
-			if _, err := fmt.Sscanf(v, "%d", p.dst); err != nil {
-				return fmt.Errorf("invalid %s parameter %q", p.name, v)
-			}
+	if v := query.Get("cube_vars"); v != "" {
+		if _, err := fmt.Sscanf(v, "%d", &r.CubeVars); err != nil {
+			return fmt.Errorf("invalid cube_vars parameter %q", v)
 		}
 	}
 
@@ -238,12 +227,6 @@ func (r *SolveRequest) applyQuery(query url.Values, emptyConstraint bool) error 
 	if r.CubeVars < 0 || r.CubeVars > 12 {
 		return fmt.Errorf("cube_vars %d out of range (0..12)", r.CubeVars)
 	}
-	if r.CubeJobs < 0 || r.CubeJobs > 1<<10 {
-		return fmt.Errorf("cube_jobs %d out of range", r.CubeJobs)
-	}
-	if r.CubeShareLBD > 1<<10 {
-		return fmt.Errorf("cube_share_lbd %d out of range", r.CubeShareLBD)
-	}
 	return nil
 }
 
@@ -261,10 +244,8 @@ func (s *Server) timeout(d time.Duration) time.Duration {
 
 // job compiles a validated request and its parsed constraint into an
 // engine job under the server's caps and defaults: the clamped budget,
-// the server-wide cube knobs wholesale for a request that names no
-// cube_vars of its own (one that does keeps its own jobs/LBD values, zero
-// meaning the package defaults), and the server-wide over leg, which a
-// request can add but not remove.
+// the server-wide cube_vars for a request that names none of its own, and
+// the server-wide over leg, which a request can add but not remove.
 func (s *Server) job(c *smt.Constraint, req SolveRequest) engine.Job {
 	prof, _ := solver.ParseProfile(req.Profile) // validated by applyQuery
 	cfg := core.Config{
@@ -274,12 +255,10 @@ func (s *Server) job(c *smt.Constraint, req SolveRequest) engine.Job {
 		Deterministic: req.Deterministic,
 		Trace:         req.Trace,
 		CubeVars:      req.CubeVars,
-		CubeJobs:      req.CubeJobs,
-		CubeShareLBD:  req.CubeShareLBD,
 		OverApprox:    req.Over || s.cfg.OverApprox,
 	}
 	if cfg.CubeVars == 0 {
-		cfg.CubeVars, cfg.CubeJobs, cfg.CubeShareLBD = s.cfg.CubeVars, s.cfg.CubeJobs, s.cfg.CubeShareLBD
+		cfg.CubeVars = s.cfg.CubeVars
 	}
 	kind := engine.KindPipeline
 	switch req.Mode {

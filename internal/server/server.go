@@ -80,12 +80,10 @@ type Config struct {
 	// balancers can use it to distinguish "up" from "up but shedding
 	// faults" without taking the instance out of rotation.
 	DegradedWindow time.Duration
-	// CubeVars, CubeJobs and CubeShareLBD are the server-wide default
-	// cube-and-conquer knobs, applied to requests that name no cube_vars
-	// of their own (default 0: sequential solving unless a request asks).
-	CubeVars     int
-	CubeJobs     int
-	CubeShareLBD int
+	// CubeVars is the server-wide default cube-and-conquer split, applied
+	// to requests that name no cube_vars of their own (default 0:
+	// sequential solving unless a request asks).
+	CubeVars int
 	// OverApprox makes every pipeline/portfolio request run the
 	// over-approximation leg by default; individual requests can still
 	// opt in per-request with over=true (they cannot opt out of a

@@ -132,9 +132,13 @@ func TestSolvePipelineSat(t *testing.T) {
 	}
 }
 
+// TestSolveRawBodyWithQueryParams steers a raw SMT-LIB body from the
+// URL. The retired cube_jobs and cube_share_lbd knobs ride along with
+// values the server once rejected; it ignores them like any unknown
+// query parameter.
 func TestSolveRawBodyWithQueryParams(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, err := http.Post(ts.URL+"/v1/solve?mode=solve&timeout=5s&profile=secunda",
+	resp, err := http.Post(ts.URL+"/v1/solve?mode=solve&timeout=5s&profile=secunda&cube_jobs=-1&cube_share_lbd=99999",
 		"text/plain", strings.NewReader(unsatLIA))
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,6 @@ import (
 	"sync"
 	"time"
 
-	"staub/internal/absint"
 	"staub/internal/chaos"
 	"staub/internal/eval"
 	"staub/internal/pipeline"
@@ -76,10 +75,6 @@ type Config struct {
 	Profile solver.Profile
 	// Deterministic switches checks to virtual-time work budgets.
 	Deterministic bool
-	// Limits bounds the sorts bound inference may select.
-	Limits absint.Limits
-	// Seed perturbs randomized engines.
-	Seed int64
 	// MemoryBudget caps the solver state retained between checks, in
 	// bytes (0 = unlimited). A check that leaves the session above the
 	// budget completes normally and then drops the solver state; the next
@@ -377,13 +372,11 @@ func (s *Session) Close() {
 // pipelineCfg maps the session configuration onto a pipeline run.
 func (s *Session) pipelineCfg() pipeline.Config {
 	return pipeline.Config{
-		Limits:        s.cfg.Limits,
 		Timeout:       s.cfg.Timeout,
 		Profile:       s.cfg.Profile,
 		RefineRounds:  s.cfg.RefineRounds,
 		StartWidth:    s.cfg.StartWidth,
 		WidthStep:     s.cfg.WidthStep,
-		Seed:          s.cfg.Seed,
 		Deterministic: s.cfg.Deterministic,
 	}
 }

@@ -24,7 +24,6 @@ var (
 	satDeleted      = metrics.Process.Counter("staub_sat_clauses_deleted_total", nil)
 	satSubsumed     = metrics.Process.Counter("staub_sat_clauses_subsumed_total", nil)
 	satStrengthened = metrics.Process.Counter("staub_sat_clauses_strengthened_total", nil)
-	satEliminated   = metrics.Process.Counter("staub_sat_vars_eliminated_total", nil)
 	satLBDHist      [sat.LBDBuckets]*metrics.Counter
 )
 
@@ -59,7 +58,6 @@ func recordSATStats(st sat.Stats) {
 	satDeleted.Add(st.Deleted)
 	satSubsumed.Add(st.Subsumed)
 	satStrengthened.Add(st.Strengthened)
-	satEliminated.Add(st.Eliminated)
 	for i, n := range st.LBDHist {
 		satLBDHist[i].Add(n)
 	}
@@ -79,7 +77,6 @@ func satStatsDelta(after, before sat.Stats) sat.Stats {
 		Deleted:      after.Deleted - before.Deleted,
 		Subsumed:     after.Subsumed - before.Subsumed,
 		Strengthened: after.Strengthened - before.Strengthened,
-		Eliminated:   after.Eliminated - before.Eliminated,
 	}
 	for i := range d.LBDHist {
 		d.LBDHist[i] = after.LBDHist[i] - before.LBDHist[i]
@@ -102,7 +99,6 @@ func SATMetricsSnapshot() map[string]int64 {
 		"deleted":      satDeleted.Value(),
 		"subsumed":     satSubsumed.Value(),
 		"strengthened": satStrengthened.Value(),
-		"eliminated":   satEliminated.Value(),
 	}
 }
 

@@ -511,7 +511,7 @@ func (r *Result) ModelBack(bounded eval.Assignment) (eval.Assignment, error) {
 // Transform runs bound inference on c and translates it with the inferred
 // bounds (the full Figure 3 pipeline minus solving). Integer constraints
 // go to bitvectors, real constraints to floating point.
-func Transform(c *smt.Constraint, limits absint.Limits) (*Result, error) {
+func Transform(c *smt.Constraint) (*Result, error) {
 	kind, err := Classify(c)
 	if err != nil {
 		return nil, err
@@ -520,11 +520,11 @@ func Transform(c *smt.Constraint, limits absint.Limits) (*Result, error) {
 	case KindIntToBV:
 		x := absint.DefaultIntX(c)
 		inf := absint.InferIntWith(c, x, absint.SemPractical)
-		return IntToBV(c, absint.SelectBVWidth(inf.Root, limits))
+		return IntToBV(c, absint.SelectBVWidth(inf.Root))
 	default:
 		x := absint.DefaultRealX(c)
 		inf := absint.InferReal(c, x)
-		return RealToFP(c, absint.SelectFPSort(inf.Root, limits))
+		return RealToFP(c, absint.SelectFPSort(inf.Root))
 	}
 }
 

@@ -260,7 +260,7 @@ func TestTransformEndToEnd(t *testing.T) {
 		(declare-fun x () Int)
 		(assert (= (* x x) 49))
 		(check-sat)`)
-	res, err := Transform(c, absint.Limits{})
+	res, err := Transform(c)
 	if err != nil {
 		t.Fatal(err)
 	}

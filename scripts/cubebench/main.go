@@ -131,7 +131,7 @@ func seqSolve(c *smt.Constraint) (sat.Status, int64, sat.Stats) {
 	if err := bl.Encode(c); err != nil {
 		return sat.Unknown, 1, s.Stats
 	}
-	s.Preprocess(sat.PreprocessOptions{})
+	s.Preprocess()
 	s.PropagationCap = workBudget * solver.SATWorkScale
 	st := s.Solve()
 	work := s.Stats.Propagations / solver.SATWorkScale

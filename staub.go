@@ -37,7 +37,6 @@ package staub
 import (
 	"context"
 
-	"staub/internal/absint"
 	"staub/internal/core"
 	"staub/internal/eval"
 	"staub/internal/pipeline"
@@ -72,8 +71,6 @@ type (
 	Status = status.Status
 	// Assignment maps variable names to values.
 	Assignment = eval.Assignment
-	// Limits bounds the sorts bound inference may select.
-	Limits = absint.Limits
 	// SolverProfile selects one of the two built-in solver
 	// configurations.
 	SolverProfile = solver.Profile
