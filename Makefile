@@ -101,10 +101,17 @@ cube-diff:
 # is replayed against the unbounded oracle at a generous budget (an
 # over-approx unsat contradicted by an oracle model fails hard), plus
 # the clean zero-flip invariant — enabling the over leg never changes a
-# decided portfolio verdict — all under the race detector.
+# decided portfolio verdict — plus the residue pass's gate: no planted-sat
+# benchgen QF_NIA or QF_LIA instance at seeds 1–3 and none of 1,000
+# random polynomial systems built to hold at an integer point is refuted,
+# every refutation of 1,000 random systems without a planted point is
+# checked by brute force over |x| ≤ 64, and the portfolio-cold rows it
+# decides keep their smallest refuting modulus — all under the race
+# detector.
 overapprox-diff:
 	$(GO) test -race -count=1 -run 'TestOverApproxDifferential' ./internal/engine
 	$(GO) test -race -short -count=1 -run 'TestOverLegNeverFlipsCleanVerdicts' ./internal/chaos
+	$(GO) test -race -count=1 -run 'TestResidue' ./internal/overapprox
 
 # chaos is the short chaos gate: a corpus subset under every fault class
 # with fixed seeds, race detector on — no crash, no verdict flip,

@@ -256,54 +256,6 @@ func inferRealTerm(t *smt.Term, x MP, memo map[*smt.Term]MP) MP {
 	return v
 }
 
-// InferIntPerVar derives a per-variable width hint for each integer
-// variable of c: the width of the largest constant the variable is
-// directly compared or equated with, plus one headroom bit, capped at the
-// global assumption x. Variables without direct comparisons get x. The
-// hints realize the per-variable refinement discussed in Section 6.2 of
-// the paper without mixed-width operations: the translation stays at one
-// width and asserts the narrow ranges as extra constraints, which the
-// verification step validates like any other underapproximation.
-func InferIntPerVar(c *smt.Constraint, x int) map[string]int {
-	out := map[string]int{}
-	for _, v := range c.Vars {
-		if v.Sort.Kind == smt.KindInt {
-			out[v.Name] = x
-		}
-	}
-	seen := map[string]int{}
-	for _, a := range c.Assertions {
-		a.Walk(func(t *smt.Term) bool {
-			switch t.Op {
-			case smt.OpEq, smt.OpLe, smt.OpLt, smt.OpGe, smt.OpGt:
-			default:
-				return true
-			}
-			if len(t.Args) != 2 {
-				return true
-			}
-			v, k := t.Args[0], t.Args[1]
-			if v.Op != smt.OpVar || k.Op != smt.OpIntConst {
-				v, k = k, v
-			}
-			if v.Op != smt.OpVar || k.Op != smt.OpIntConst || v.Sort.Kind != smt.KindInt {
-				return true
-			}
-			w := k.IntVal.BitLen() + 2
-			if prev, ok := seen[v.Name]; !ok || w > prev {
-				seen[v.Name] = w
-			}
-			return true
-		})
-	}
-	for name, w := range seen {
-		if w < out[name] {
-			out[name] = w
-		}
-	}
-	return out
-}
-
 // Width selection: converting abstract results into concrete bounded
 // sorts.
 

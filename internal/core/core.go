@@ -117,15 +117,28 @@ var (
 		10*time.Millisecond, 100*time.Millisecond, time.Second)
 )
 
+// portfolioLegWork counts the work units each leg charged, by leg and by
+// whether that leg won the race: the unbounded leg's solver work, a
+// chain's SolveWork. The won="false" series are the work losing legs
+// burn before they are cancelled.
+var portfolioLegWork = map[string][2]*metrics.Counter{}
+
 func init() {
 	metrics.Process.RegisterHistogram("staub_portfolio_cancel_seconds", nil, portfolioCancel)
+	for _, leg := range []string{"unbounded", "staub", "cube", "over"} {
+		portfolioLegWork[leg] = [2]*metrics.Counter{
+			metrics.Process.Counter("staub_portfolio_leg_work_total", metrics.Labels{"leg": leg, "won": "false"}),
+			metrics.Process.Counter("staub_portfolio_leg_work_total", metrics.Labels{"leg": leg, "won": "true"}),
+		}
+	}
 }
 
 // leg is one row of the portfolio race.
 type leg struct {
 	name string
 	// run decides the constraint, stopping soon after its interrupt flag
-	// is raised. The unbounded leg fills only Status and Model.
+	// is raised. The unbounded leg fills only Status, Model and
+	// SolveWork, its solver's work.
 	run func(interrupt *atomic.Bool) PipelineResult
 	// wins reports whether a verdict of this leg is definitive for the
 	// original constraint, and so ends the race.
@@ -197,9 +210,10 @@ func race(legs []leg) ([]PipelineResult, int) {
 //   - cube, with Config.CubeVars set: the pipeline with its bounded solve
 //     replaced by cube-and-conquer; wins only with a verified sat, so
 //     cubing can only add a way to win;
-//   - over, with Config.OverApprox set: linearized nonlinear
-//     multiplication and certified a-priori bounds, so that its
-//     bounded-unsat is a sound unsat; wins with any definitive verdict.
+//   - over, with Config.OverApprox set: residue refutation of integer
+//     equalities, linearized nonlinear multiplication and certified
+//     a-priori bounds, so that its bounded-unsat is a sound unsat; wins
+//     with any definitive verdict.
 //
 // Every leg runs behind a panic-isolation boundary: a leg that panics,
 // stalls into its watchdog or exhausts its budget yields no definitive
@@ -223,7 +237,7 @@ func RunPortfolio(ctx context.Context, c *smt.Constraint, cfg Config) PortfolioR
 	legs := []leg{
 		legUnbounded: {"unbounded", func(interrupt *atomic.Bool) PipelineResult {
 			r := pipeline.SolveOriginal(ctx, c, cfg, interrupt)
-			return PipelineResult{Status: r.Status, Model: r.Model}
+			return PipelineResult{Status: r.Status, Model: r.Model, SolveWork: r.Work}
 		}, decided},
 		legSequential: {"staub", staub(seq), onlySat},
 	}
@@ -235,6 +249,13 @@ func RunPortfolio(ctx context.Context, c *smt.Constraint, cfg Config) PortfolioR
 	}
 
 	results, winner := race(legs)
+	for i, l := range legs {
+		won := 0
+		if i == winner {
+			won = 1
+		}
+		portfolioLegWork[l.name][won].Add(results[i].SolveWork)
+	}
 	out := PortfolioResult{Status: status.Unknown, Pipeline: results[legSequential]}
 	if winner >= 0 {
 		out.Status, out.Model = results[winner].Status, results[winner].Model

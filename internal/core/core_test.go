@@ -234,39 +234,45 @@ func TestPortfolioWinComesFromSTAUBLeg(t *testing.T) {
 	}
 }
 
-func TestRangeHintsPipelineStillVerifies(t *testing.T) {
-	// Range hints deepen the underapproximation; a constraint whose model
-	// sits inside the hinted ranges must still verify end-to-end, and the
-	// hinted bounded constraint must carry extra range assertions.
-	src := `
-		(declare-fun a () Int)
-		(declare-fun b () Int)
-		(assert (<= a 7))
-		(assert (>= a 2))
-		(assert (= (+ (* a a) b) 500))
-		(check-sat)`
-	c := parse(t, src)
-	plain, _, err := Transform(c, Config{})
-	if err != nil {
-		t.Fatal(err)
+// TestPortfolioCountsLegWork races x² + y² = 1000003 (3 mod 4) without
+// the over leg under a small budget: the unbounded leg runs out of it
+// and the sequential leg's bounded-unsat decides nothing, so no leg wins
+// and each leg's work lands in its won="false" series.
+func TestPortfolioCountsLegWork(t *testing.T) {
+	read := func() map[string][2]int64 {
+		out := map[string][2]int64{}
+		for leg, cs := range portfolioLegWork {
+			out[leg] = [2]int64{cs[0].Value(), cs[1].Value()}
+		}
+		return out
 	}
-	c2 := parse(t, src)
-	hinted, _, err := Transform(c2, Config{RangeHints: true})
-	if err != nil {
-		t.Fatal(err)
+	before := read()
+	c := parse(t, `(declare-fun x () Int) (declare-fun y () Int)
+		(assert (= (+ (* x x) (* y y)) 1000003)) (check-sat)`)
+	res := RunPortfolio(context.Background(), c, Config{Timeout: 20 * time.Millisecond, Deterministic: true})
+	if res.Status != status.Unknown {
+		t.Fatalf("status %v, want unknown", res.Status)
 	}
-	if len(hinted.Bounded.Assertions) <= len(plain.Bounded.Assertions) {
-		t.Errorf("hinted translation has %d assertions, plain has %d; expected extra range assertions",
-			len(hinted.Bounded.Assertions), len(plain.Bounded.Assertions))
-	}
-	res := RunPipeline(context.Background(), parse(t, src), Config{Timeout: 10 * time.Second, RangeHints: true}, nil)
-	if res.Outcome != OutcomeVerified {
-		t.Fatalf("outcome = %v, want verified", res.Outcome)
-	}
-	a := res.Model["a"].Int.Int64()
-	b := res.Model["b"].Int.Int64()
-	if a*a+b != 500 || a < 2 || a > 7 {
-		t.Errorf("model a=%d b=%d does not satisfy the original", a, b)
+	after := read()
+	for leg, b := range before {
+		lost, won := after[leg][0]-b[0], after[leg][1]-b[1]
+		if won != 0 {
+			t.Errorf("%s: won=\"true\" rose by %d in a race nobody won", leg, won)
+		}
+		switch leg {
+		case "unbounded":
+			if lost <= 0 {
+				t.Errorf("unbounded: won=\"false\" rose by %d, want its solver work", lost)
+			}
+		case "staub":
+			if lost != res.Pipeline.SolveWork || lost <= 0 {
+				t.Errorf("staub: won=\"false\" rose by %d, want its SolveWork %d", lost, res.Pipeline.SolveWork)
+			}
+		default:
+			if lost != 0 {
+				t.Errorf("%s: won=\"false\" rose by %d, but the leg did not run", leg, lost)
+			}
+		}
 	}
 }
 

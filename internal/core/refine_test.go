@@ -56,7 +56,6 @@ func TestRefinementDifferentialIncrementalVsFresh(t *testing.T) {
 		cfg  Config
 	}{
 		{"plain", Config{Timeout: 20 * time.Second, Deterministic: true, RefineRounds: 3}},
-		{"hints", Config{Timeout: 20 * time.Second, Deterministic: true, RefineRounds: 3, RangeHints: true}},
 	}
 	for _, tc := range refinementCorpus {
 		for _, cc := range configs {

@@ -68,7 +68,7 @@ func PassesExperiment(ctx context.Context, o Options) ([]PassRow, error) {
 	// Canonical pipeline order, not alphabetical: the table reads as the
 	// stages execute.
 	order := []string{
-		pipeline.PassInferBounds, pipeline.PassRangeHints, pipeline.PassTranslate,
+		pipeline.PassInferBounds, pipeline.PassTranslate,
 		pipeline.PassReduceIntToBV, pipeline.PassBoundedSolve, pipeline.PassVerifyModel,
 	}
 	rows := make([]PassRow, 0, len(agg))

@@ -33,3 +33,11 @@ func Linearize(c *smt.Constraint) (*smt.Constraint, error) {
 	abs, _, _, err := linearize(c)
 	return abs, err
 }
+
+// Residue runs the residue pass's search on c with a budget of budget
+// nodes. It returns whether every DNF case was refuted, each case's
+// refuting modulus when it was, and the nodes enumerated.
+func Residue(c *smt.Constraint, budget int64) (refuted bool, moduli []int64, nodes int64) {
+	r := refuteResidues(c, budget, func() bool { return false })
+	return r.refuted, r.moduli, r.nodes
+}

@@ -1,23 +1,25 @@
 // Package overapprox contributes the over-approximating pipeline passes:
-// linearize-nia abstracts nonlinear multiplication into fresh product
-// variables constrained by eagerly instantiated axioms (sign, zero, unit,
-// magnitude, squares, interval products — the Certora-style linearization
-// of arXiv:2402.10174 realized without uninterpreted functions), and
-// infer-apriori-bounds certifies, from interval propagation over the
-// linear fragment or a Papadimitriou small-model bound, a bitvector width
-// COMPLETE for the constraint (the Bromberger a-priori bounds of
-// arXiv:1804.07703) — under which a bounded-unsat outcome is a sound
-// unsat for the original constraint, the mirror image of STAUB's
-// under-approximation.
+// residue refutes integer equalities by enumerating their residues modulo
+// small m (reduction mod m is a ring homomorphism, so a system with no
+// residue solution has no integer one); linearize-nia abstracts nonlinear
+// multiplication into fresh product variables constrained by eagerly
+// instantiated axioms (sign, zero, unit, magnitude, squares, interval
+// products — the Certora-style linearization of arXiv:2402.10174 realized
+// without uninterpreted functions); and infer-apriori-bounds certifies,
+// from interval propagation over the linear fragment or a Papadimitriou
+// small-model bound, a bitvector width COMPLETE for the constraint (the
+// Bromberger a-priori bounds of arXiv:1804.07703) — under which a
+// bounded-unsat outcome is a sound unsat for the original constraint, the
+// mirror image of STAUB's under-approximation.
 //
 // The package registers its passes from init, keeping the dependency
 // pointing overapprox→pipeline exactly like internal/reduce and
 // internal/cube. pipeline.RunOverApprox assembles them per
 // pipeline.OverApproxPassNames; the approximation-direction lattice
-// (pipeline.Direction) carries the soundness argument: linearization
-// composes DirOver, a certified translation DirExact, and
-// pipeline.SoundStatus turns bounded-unsat into unsat only under those
-// directions.
+// (pipeline.Direction) carries the soundness argument: a residue
+// refutation and linearization compose DirOver, a certified translation
+// DirExact, and pipeline.SoundStatus turns bounded-unsat into unsat only
+// under those directions.
 package overapprox
 
 import (
@@ -29,6 +31,11 @@ import (
 )
 
 func init() {
+	pipeline.Register(pipeline.Pass{
+		Name: pipeline.PassResidue,
+		Doc:  "refute integer equalities by enumerating their residues modulo small m (over-approximation)",
+		Run:  passResidue,
+	})
 	pipeline.Register(pipeline.Pass{
 		Name: pipeline.PassLinearizeNIA,
 		Doc:  "abstract nonlinear multiplication into fresh product variables with eager axiom instantiation (over-approximation)",
@@ -47,6 +54,7 @@ func init() {
 // up gracefully, the portfolio proceeds on the other legs, and no fault
 // class can ever flip a verdict or degrade the portfolio.
 const (
+	siteResidue   = "over:residue"
 	siteLinearize = "over:linearize"
 	siteBounds    = "over:bounds"
 )

@@ -198,13 +198,16 @@ func TestIntDivModNeverCertified(t *testing.T) {
 }
 
 func TestPapadimitriouFallback(t *testing.T) {
-	// One variable, tiny coefficients, no explicit bounds: the interval
-	// path cannot bound x but the small-model bound fits the ceiling, and
-	// 2x = 1 is a sound parity unsat.
+	// Two variables, tiny coefficients, no explicit bounds: the interval
+	// path cannot bound x or y but the small-model bound fits the
+	// ceiling, and 0 < x − y < 1 is a sound unsat. It has no equality, so
+	// the residue pass falls through.
 	res := runOver(t, `
 		(set-logic QF_LIA)
 		(declare-fun x () Int)
-		(assert (= (+ x x) 1))
+		(declare-fun y () Int)
+		(assert (> (- x y) 0))
+		(assert (< (- x y) 1))
 		(check-sat)`)
 	if res.Status != status.Unsat {
 		t.Fatalf("status = %v, want sound unsat via small-model width", res.Status)

@@ -179,9 +179,8 @@ func RunFresh(ctx context.Context, c *smt.Constraint, cfg Config, deadline time.
 // charges each round only the round's own new propagations.
 //
 // Round semantics mirror RunFresh exactly: round 0 translates at the
-// inferred width with optional range hints; retries translate at the
-// doubled fixed width without hints, each under the same per-round budget
-// the fresh loop would get.
+// inferred width; retries translate at the doubled fixed width, each
+// under the same per-round budget the fresh loop would get.
 func RunIncremental(ctx context.Context, c *smt.Constraint, cfg Config, deadline time.Time, interrupt *atomic.Bool) Result {
 	refineSessions.Inc()
 	return RunSession(ctx, c, cfg, deadline, interrupt, solver.NewBVSession())
@@ -200,7 +199,7 @@ func RunSession(ctx context.Context, c *smt.Constraint, cfg Config, deadline tim
 	st := NewState(ctx, c, cfg, deadline, interrupt)
 	// Memoized inference: abstract interpretation sees the original
 	// constraint only, so its results hold for every round.
-	Exec(st, MustPasses(PassInferBounds, PassRangeHints))
+	Exec(st, MustPasses(PassInferBounds))
 	res := st.Res
 	if res.Outcome == OutcomeTransformFailed {
 		// Unreachable in practice: Run only dispatches here after a
@@ -219,9 +218,6 @@ func RunSession(ctx context.Context, c *smt.Constraint, cfg Config, deadline tim
 		st.Round = round
 		st.T0 = time.Now()
 		st.Width = width
-		if round > 0 {
-			st.Hints = nil
-		}
 		workBefore := res.SolveWork
 		Exec(st, roundPasses)
 		refineWorkUnits.Add(res.SolveWork - workBefore)
@@ -298,6 +294,6 @@ func RunOverApprox(ctx context.Context, c *smt.Constraint, cfg Config, deadline 
 // Transform runs only the inference + translation stages (no solving).
 func Transform(c *smt.Constraint, cfg Config) (*translate.Result, int, error) {
 	st := NewState(context.Background(), c, cfg, time.Time{}, nil)
-	Exec(st, MustPasses(PassInferBounds, PassRangeHints, PassTranslate))
+	Exec(st, MustPasses(PassInferBounds, PassTranslate))
 	return st.Translated, st.Root, st.Err
 }

@@ -14,7 +14,6 @@ import (
 
 func init() {
 	Register(Pass{Name: PassInferBounds, Doc: "classify the theory and select bounded sorts by abstract interpretation", Run: passInferBounds})
-	Register(Pass{Name: PassRangeHints, Doc: "infer per-variable ranges for hint assertions (§6.2)", Run: passRangeHints})
 	Register(Pass{Name: PassTranslate, Doc: "translate the unbounded constraint to the selected bounded sorts", Run: passTranslate})
 	Register(Pass{Name: PassBoundedSolve, Doc: "solve the bounded constraint under the time/work budget", Run: passBoundedSolve})
 	Register(Pass{Name: PassVerifyModel, Doc: "map the bounded model back and verify it against the original", Run: passVerifyModel})
@@ -70,8 +69,7 @@ func passInferBounds(st *State) Verdict {
 	}
 	switch kind {
 	case translate.KindIntToBV:
-		st.IntX = absint.DefaultIntX(c)
-		inf := absint.InferIntWith(c, st.IntX, absint.SemPractical)
+		inf := absint.InferIntWith(c, absint.DefaultIntX(c), absint.SemPractical)
 		st.Width = absint.SelectBVWidth(inf.Root)
 		st.Root = inf.Root
 		if cfg.StartWidth > 0 {
@@ -93,21 +91,6 @@ func passInferBounds(st *State) Verdict {
 	return Continue
 }
 
-// passRangeHints infers per-variable ranges for translation hints. It is
-// a no-op outside the inferred integer→BV path.
-func passRangeHints(st *State) Verdict {
-	if !st.Cfg.RangeHints || st.Cfg.FixedWidth > 0 || st.Cfg.StartWidth > 0 || st.Kind != translate.KindIntToBV {
-		// StartWidth suppresses hints: they are inferred against the full
-		// bound and could assert ranges wider than the starting width.
-		st.SpanNote = "skipped"
-		return Continue
-	}
-	st.Hints = absint.InferIntPerVar(st.Original, st.IntX)
-	st.SpanWork = int64(st.Original.NumNodes())
-	st.SpanNote = fmt.Sprintf("%d hints", len(st.Hints))
-	return Continue
-}
-
 // passTranslate rewrites the constraint into the selected bounded sorts
 // (Figure 3, step 2). The source is the linearized abstraction when an
 // earlier pass installed one, the original otherwise. When the
@@ -118,7 +101,7 @@ func passRangeHints(st *State) Verdict {
 //
 // Direction: an int→BV translation whose width was a-priori certified is
 // exact (every solution of the source fits the width); every other
-// translation — uncertified widths, range hints, real→FP rounding — is an
+// translation — uncertified widths, real→FP rounding — is an
 // under-approximating step.
 func passTranslate(st *State) Verdict {
 	src := st.Original
@@ -166,9 +149,8 @@ func passTranslate(st *State) Verdict {
 	return Continue
 }
 
-// passBoundedSolve closes the round's translation accounting (one work
-// unit per original + bounded node in deterministic mode, wall clock
-// since T0 otherwise), then solves the bounded constraint under the
+// passBoundedSolve closes the round's translation accounting
+// (ChargeTranslation), then solves the bounded constraint under the
 // budget — a fresh solver, or the state's incremental session when one is
 // installed (Figure 3, step 3). Unsat and unknown end the chain with the
 // state's parameterized outcomes.
@@ -177,14 +159,16 @@ func passBoundedSolve(st *State) Verdict {
 }
 
 // ChargeTranslation closes the current round's translation accounting —
-// one work unit per original + bounded node in deterministic mode, wall
-// clock since T0 otherwise — and returns the charged translation work.
+// one work unit per original + bounded node, plus the state's
+// ChargedWork, in deterministic mode, wall clock since T0 otherwise — and
+// returns the charged translation work.
 // It is the shared prologue of the bounded-solve and cube-solve passes;
 // each solve pass must call it exactly once per round.
 func ChargeTranslation(st *State) int64 {
 	cfg, res := st.Cfg, st.Res
 	res.Bounded = st.Bounded
-	transWork := int64(st.Original.NumNodes() + st.Bounded.NumNodes())
+	transWork := int64(st.Original.NumNodes()+st.Bounded.NumNodes()) + st.ChargedWork
+	st.ChargedWork = 0
 	if cfg.Deterministic {
 		res.TTrans += solver.VirtualDuration(transWork)
 	} else {

@@ -1,6 +1,6 @@
 // Package pipeline is the staged pass framework behind STAUB. Every stage
-// of the paper's Figure 3 pipeline (bound inference, range hints,
-// translation, bounded solving, model verification) and
+// of the paper's Figure 3 pipeline (bound inference, translation,
+// bounded solving, model verification) and
 // of the §6.4 width-reduction pipeline is a named Pass with a uniform
 // signature over a shared State; internal/core and internal/reduce are
 // thin assemblies of those passes pulled from one registry. The framework
@@ -36,10 +36,6 @@ type Config struct {
 	Timeout time.Duration
 	// Profile selects the underlying solver profile.
 	Profile solver.Profile
-	// RangeHints adds per-variable range assertions from
-	// absint.InferIntPerVar to the translated constraint (the §6.2
-	// per-variable refinement realized without mixed-width operations).
-	RangeHints bool
 	// RefineRounds enables the iterative bound refinement of the paper's
 	// Section 6.2: when the bounded constraint is unsat (bounds possibly
 	// insufficient), the width is doubled and the pipeline retried up to
@@ -54,10 +50,8 @@ type Config struct {
 	// StartWidth, when positive, overrides the inferred round-0 bitvector
 	// width (UppSAT-style refinement-strategy knob: sessions serving cheap
 	// interactive probes start narrow, deep batch refinement starts at the
-	// inferred bound). Unlike FixedWidth it does not disable refinement —
-	// later rounds still widen by WidthStep — and it suppresses range
-	// hints, which are inferred against the full bound and could exceed
-	// the requested starting precision.
+	// inferred bound). Unlike FixedWidth it does not disable refinement:
+	// later rounds still widen by WidthStep.
 	StartWidth int
 	// WidthStep is the width multiplier between refinement rounds
 	// (default 2, the paper's §6.2 doubling schedule; values below 2 are
@@ -82,9 +76,10 @@ type Config struct {
 	// Zero keeps the sequential solve.
 	CubeVars int
 	// OverApprox switches Run to the over-approximating assembly
-	// (linearize-nia, infer-apriori-bounds, translate, bounded-solve,
-	// verify-model): nonlinear products are abstracted away with eager
-	// axiom instantiation and widths are certified complete from a-priori
+	// (residue, linearize-nia, infer-apriori-bounds, translate,
+	// bounded-solve, verify-model): integer equalities are refuted by
+	// residues, nonlinear products are abstracted away with eager axiom
+	// instantiation and widths are certified complete from a-priori
 	// bounds, so a bounded-unsat outcome is a sound unsat for the
 	// original. The portfolio races it as its over leg when set.
 	// FixedWidth, RefineRounds and CubeVars do not apply to this
@@ -186,10 +181,8 @@ type State struct {
 	// Root is the raw inference result before clamping (integer: root
 	// width; real: M+P; fixed-width runs: the fixed width).
 	Root int
-	// IntX is the memoized abstract-interpretation exponent for integer
-	// constraints (shared by infer-bounds and range-hints).
-	IntX int
-	// Hints are per-variable range hints for translation (nil: none).
+	// Hints are per-variable range hints for translation (nil: none);
+	// infer-apriori-bounds sets the certified ones.
 	Hints map[string]int
 
 	// Translated is the translation result (set by translate).
@@ -202,6 +195,12 @@ type State struct {
 	ModelBack func(eval.Assignment) (eval.Assignment, error)
 	// Solve is the bounded solver's result (set by bounded-solve).
 	Solve solver.Result
+
+	// ChargedWork is work, in units, that a transform pass charged to the
+	// round beyond the per-node translation accounting (the residue
+	// pass's enumeration). ChargeTranslation adds it to the translation
+	// work, so it comes out of the bounded solve's budget.
+	ChargedWork int64
 
 	// UnsatOutcome and UnknownOutcome parameterize bounded-solve's
 	// classification: the STAUB assembly reports
@@ -258,7 +257,6 @@ type Pass struct {
 // key, the trace and the docs all speak the same vocabulary.
 const (
 	PassInferBounds   = "infer-bounds"
-	PassRangeHints    = "range-hints"
 	PassTranslate     = "translate"
 	PassReduceIntToBV = "reduce-int2bv"
 	PassBoundedSolve  = "bounded-solve"
@@ -266,6 +264,7 @@ const (
 	PassVerifyModel   = "verify-model"
 	PassLinearizeNIA  = "linearize-nia"
 	PassInferApriori  = "infer-apriori-bounds"
+	PassResidue       = "residue"
 )
 
 var (
@@ -492,11 +491,7 @@ func workCeiling(cfg Config) int64 {
 // Figure 3 pipeline with its optional stages resolved. Exposed so the
 // engine can derive cache keys from the actual pass list.
 func Figure3PassNames(cfg Config) []string {
-	names := []string{PassInferBounds}
-	if cfg.RangeHints && cfg.FixedWidth == 0 && cfg.StartWidth == 0 {
-		names = append(names, PassRangeHints)
-	}
-	names = append(names, PassTranslate)
+	names := []string{PassInferBounds, PassTranslate}
 	solve := PassBoundedSolve
 	if cfg.CubeVars > 0 {
 		solve = PassCubeSolve
@@ -509,7 +504,7 @@ func Figure3PassNames(cfg Config) []string {
 // bitvector forms the fallback path never produces, and it cannot change
 // a verdict the certification argument depends on.
 func OverApproxPassNames(cfg Config) []string {
-	return []string{PassLinearizeNIA, PassInferApriori, PassTranslate, PassBoundedSolve, PassVerifyModel}
+	return []string{PassResidue, PassLinearizeNIA, PassInferApriori, PassTranslate, PassBoundedSolve, PassVerifyModel}
 }
 
 // PassNamesFor resolves the pass chain cfg assembles — the Figure 3

@@ -28,8 +28,7 @@ const satSrc = `
 
 func TestRegistryLookup(t *testing.T) {
 	for _, name := range []string{
-		PassInferBounds, PassRangeHints, PassTranslate,
-		PassBoundedSolve, PassVerifyModel,
+		PassInferBounds, PassTranslate, PassBoundedSolve, PassVerifyModel,
 	} {
 		p, ok := Lookup(name)
 		if !ok {
@@ -58,13 +57,9 @@ func TestFigure3PassNames(t *testing.T) {
 	if got := Figure3PassNames(Config{}); strings.Join(got, ",") != strings.Join(base, ",") {
 		t.Errorf("plain config: %v", got)
 	}
-	withHints := Figure3PassNames(Config{RangeHints: true})
-	if !contains(withHints, PassRangeHints) {
-		t.Errorf("RangeHints did not add %q: %v", PassRangeHints, withHints)
-	}
-	fixed := Figure3PassNames(Config{RangeHints: true, FixedWidth: 8})
-	if contains(fixed, PassRangeHints) {
-		t.Errorf("FixedWidth must suppress range hints: %v", fixed)
+	cubed := Figure3PassNames(Config{CubeVars: 2})
+	if !contains(cubed, PassCubeSolve) || contains(cubed, PassBoundedSolve) {
+		t.Errorf("CubeVars must replace %q with %q: %v", PassBoundedSolve, PassCubeSolve, cubed)
 	}
 }
 

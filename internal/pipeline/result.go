@@ -63,17 +63,16 @@ type Direction int
 // behavior without naming a direction.
 const (
 	// DirUnder: the solved constraint admits a subset of the original's
-	// solutions (int→BV with overflow guards, width narrowing, range
-	// hints). Sat models are candidates requiring verification; unsat says
+	// solutions (int→BV with overflow guards, width narrowing). Sat models are candidates requiring verification; unsat says
 	// nothing about the original. Real→FP also runs under this direction:
 	// rounding both adds and removes solutions, so FP is not a true
 	// under-approximation, but DirUnder's verdict semantics — trust
 	// nothing without verification — are exactly what it needs.
 	DirUnder Direction = iota
 	// DirOver: the solved constraint admits a superset of the original's
-	// solutions (linearized nonlinear products with axiom instantiation).
-	// Unsat is sound for the original; sat models are candidates
-	// requiring verification.
+	// solutions (linearized nonlinear products with axiom instantiation,
+	// integer equalities reduced mod m). Unsat is sound for the original;
+	// sat models are candidates requiring verification.
 	DirOver
 	// DirExact: the solved constraint is equisatisfiable with the
 	// original (a-priori certified widths over the exact linear

@@ -54,7 +54,7 @@ func TestWireJobRoundTrip(t *testing.T) {
 			RefineRounds: 2, Seed: 9, Deterministic: true, StartWidth: 4,
 			WidthStep: 2, CubeVars: 3, OverApprox: true}},
 		{Kind: engine.KindPortfolio, Constraint: c, Config: core.Config{
-			Timeout: 2 * time.Second, FixedWidth: 16, RangeHints: true, FreshRefine: true}},
+			Timeout: 2 * time.Second, FixedWidth: 16, FreshRefine: true}},
 		{Kind: engine.KindPipeline, Constraint: c, Config: everyConfigField(t)},
 	}
 	for _, j := range jobs {

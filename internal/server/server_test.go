@@ -344,6 +344,7 @@ func TestMetricsAndStatsEndpoints(t *testing.T) {
 		"# TYPE staub_solves_total counter",
 		"# TYPE staub_portfolio_cancel_seconds histogram",
 		"# TYPE staub_overapprox_runs_total counter",
+		"# TYPE staub_portfolio_leg_work_total counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, text)

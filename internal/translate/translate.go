@@ -80,11 +80,13 @@ func IntToBV(c *smt.Constraint, width int) (*Result, error) {
 }
 
 // IntToBVWithHints is IntToBV with optional per-variable width hints
-// (from absint.InferIntPerVar): each hinted variable narrower than the
-// translation width gets a range assertion restricting it to the hinted
-// signed range. The hints deepen the underapproximation (verification
-// still guards correctness) and give the bounded solver stronger
-// unit-propagation targets on the high bits.
+// (the over chain's infer-apriori-bounds passes the widths its certified
+// bounds need): each hinted variable narrower than the translation width
+// gets a range assertion restricting it to the hinted signed range. A
+// hint narrower than a variable's values deepens the underapproximation
+// (verification still guards correctness); a certified one loses no
+// solution. Either gives the bounded solver stronger unit-propagation
+// targets on the high bits.
 func IntToBVWithHints(c *smt.Constraint, width int, hints map[string]int) (*Result, error) {
 	out := smt.NewConstraint("QF_BV")
 	tr := &intTranslator{

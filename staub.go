@@ -52,8 +52,7 @@ type (
 	// Constraint is a parsed SMT problem.
 	Constraint = smt.Constraint
 	// Config controls the STAUB pipeline: timeout, fixed-width ablation,
-	// solver profile, iterative bound refinement (RefineRounds) and
-	// per-variable range hints (RangeHints).
+	// solver profile and iterative bound refinement (RefineRounds).
 	Config = core.Config
 	// PipelineResult is a completed pipeline run.
 	PipelineResult = core.PipelineResult
