@@ -4,11 +4,11 @@ GO ?= go
 
 # check is the CI gate: static checks, build (the benchmark module too,
 # with its own tests), the full suite under the race detector, short
-# fuzz passes over the SMT-LIB parser, the server request decoder and the
-# FP word kernel, the incremental-vs-fresh refinement differential under
-# -race, the cube-and-conquer differential, the short chaos gate, and
-# end-to-end smokes of the staub-serve binary (one-shot solves, the
-# stateful session tier, and the peer pool's node-kill drill).
+# fuzz passes over the SMT-LIB parser, the server request decoder, the
+# FP word kernel and the FP circuits, the incremental-vs-fresh refinement
+# differential under -race, the cube-and-conquer differential, the short
+# chaos gate, and end-to-end smokes of the staub-serve binary (one-shot
+# solves, the stateful session tier, and the peer pool's node-kill drill).
 check: fmt vet build bench-build race fuzz differential sat-diff cube-diff overapprox-diff chaos serve-smoke session-smoke pool-smoke
 
 # fmt fails if any file is not gofmt-clean, and prints the offenders.
@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDIMACS -fuzztime=5s ./internal/sat
 	$(GO) test -run='^$$' -fuzz=FuzzOverApproxPipeline -fuzztime=5s ./internal/overapprox
 	$(GO) test -run='^$$' -fuzz=FuzzWordArith -fuzztime=5s ./internal/fp
+	$(GO) test -run='^$$' -fuzz=FuzzFPCircuits -fuzztime=5s ./internal/bitblast
 
 # differential pins the incremental refinement session to the fresh
 # per-round reference (same statuses, same widths) and the stateful
@@ -52,11 +53,12 @@ fuzz:
 # bvurem and the signed and unsigned 2w-bit products on every operand pair
 # at widths 1 to 6, one-shot and in a session round), the bvsmulo guard to
 # exact arithmetic (bvsmulo(x, y) and bvsmulo(x, x) on every operand pair
-# at widths 1 to 8, one-shot and in a session round), the exhaustive FP
-# search's lazy
-# candidate enumeration to the eager candidate list (same candidates,
-# byte-identical verdicts, models and node counts on translated benchgen
-# instances), and intsolver's int64 nonlinear kernel to the big.Rat
+# at widths 1 to 8, one-shot and in a session round), the bit-blaster's
+# round-to-nearest-even FP circuits to internal/fp (add, sub, mul, div,
+# the five comparisons, =, neg, abs, isNaN and isInfinite, bit for bit, on
+# every operand pair of seven formats of at most 7 bits and on seeded
+# pairs at the corpus formats (5,11) to (11,53) plus a 71-bit one), and
+# intsolver's int64 nonlinear kernel to the big.Rat
 # branch-and-prune (same status, model and Stats on the first 25 benchgen
 # QF_NIA instances of seed 1 plus the refinement corpus, and on cases
 # built to take each exact fallback; -short keeps the reference's ~10 µs
@@ -68,7 +70,7 @@ differential:
 	$(GO) test -race -count=1 -run 'TestRefinementDifferentialIncrementalVsFresh' ./internal/core
 	$(GO) test -race -count=1 -run 'TestSessionMatchesFresh|TestMultiplierExhaustive|TestSMulOExhaustive' ./internal/bitblast
 	$(GO) test -race -count=1 -run 'TestSessionDifferential' ./internal/session
-	$(GO) test -race -count=1 -run 'TestLazyCandidatesMatchEager|TestSolveMatchesEagerOnBenchgen' ./internal/fpsolver
+	$(GO) test -race -count=1 -run 'TestFPCircuitsExhaustive|TestFPCircuitsSweep' ./internal/bitblast
 	$(GO) test -race -short -count=1 -run 'TestKernelMatchesReference|TestKernelFallbacksMatchReference' ./internal/intsolver
 	$(GO) test -race -count=1 -run 'TestWordMatchesReference' ./internal/fp
 

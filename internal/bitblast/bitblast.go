@@ -1,20 +1,22 @@
-// Package bitblast lowers QF_BV constraints to CNF by Tseitin transformation
-// and decides them with package sat — the standard production pipeline for
-// bitvector logics and the reason bounded constraints are cheap to solve,
+// Package bitblast lowers QF_BV constraints, and the QF_FP fragment STAUB's
+// real-to-FP translation emits, to CNF by Tseitin transformation and
+// decides them with package sat — the standard production pipeline for
+// bounded logics and the reason bounded constraints are cheap to solve,
 // which STAUB's theory arbitrage exploits.
 //
-// Every bitvector term becomes a vector of literals; every boolean term a
-// single literal. Gates perform constant folding against the two constant
-// literals, so constraints with literal-heavy structure shrink during
-// construction, and every gate that survives folding is structurally
-// hashed: an AND, XOR or multiplexer over the same operand literals is
-// encoded once. One-shot encodings and incremental Session rounds build
-// gates through that one path; a Session only keeps its cache across
-// rounds. Products, signed or unsigned, come from one w-row array
-// multiplier (Baugh–Wooley for signed operands). The bvsmulo guard is
-// Boolector's and Bitwuzla's smulo encoding: a (w+1)-bit product, whose
-// low w bits are the gates of the bvmul it protects, plus a leading-bit
-// test linear in w.
+// Every bitvector or floating-point term becomes a vector of literals (a
+// float is its bit pattern; fp.go builds the round-to-nearest-even
+// circuits); every boolean term a single literal. Gates perform constant
+// folding against the two constant literals, so constraints with
+// literal-heavy structure shrink during construction, and every gate that
+// survives folding is structurally hashed: an AND, XOR or multiplexer over
+// the same operand literals is encoded once. One-shot encodings and
+// incremental Session rounds build gates through that one path; a Session
+// only keeps its cache across rounds. Products, signed or unsigned, come
+// from one w-row array multiplier (Baugh–Wooley for signed operands). The
+// bvsmulo guard is Boolector's and Bitwuzla's smulo encoding: a (w+1)-bit
+// product, whose low w bits are the gates of the bvmul it protects, plus a
+// leading-bit test linear in w.
 package bitblast
 
 import (
@@ -24,6 +26,7 @@ import (
 
 	"staub/internal/bv"
 	"staub/internal/eval"
+	"staub/internal/fp"
 	"staub/internal/sat"
 	"staub/internal/smt"
 )
@@ -111,6 +114,11 @@ func (b *Blaster) Encode(c *smt.Constraint) error {
 			b.bools[v] = b.varBool(v)
 		case smt.KindBitVec:
 			b.bits[v] = b.varVec(v)
+		case smt.KindFloat:
+			if b.sess != nil {
+				return fmt.Errorf("bitblast: sessions do not encode floating-point variable %q", v.Name)
+			}
+			b.bits[v] = b.freshVec(v.Sort.TotalBits())
 		default:
 			return fmt.Errorf("bitblast: unsupported variable sort %v", v.Sort)
 		}
@@ -150,11 +158,7 @@ func (b *Blaster) varBool(v *smt.Term) sat.Lit {
 func (b *Blaster) varVec(v *smt.Term) []sat.Lit {
 	w := v.Sort.Width
 	if b.sess == nil {
-		vec := make([]sat.Lit, w)
-		for i := range vec {
-			vec[i] = b.fresh()
-		}
-		return vec
+		return b.freshVec(w)
 	}
 	vec := b.sess.varBits[v.Name]
 	if n := min(len(vec), w); n > 0 {
@@ -224,14 +228,18 @@ func (b *Blaster) ModelWith(val func(v int) bool) eval.Assignment {
 		switch v.Sort.Kind {
 		case smt.KindBool:
 			m[v.Name] = eval.BoolValue(b.litValWith(b.bools[v], val))
-		case smt.KindBitVec:
+		case smt.KindBitVec, smt.KindFloat:
 			bitsVal := new(big.Int)
 			for i, l := range b.bits[v] {
 				if b.litValWith(l, val) {
 					bitsVal.SetBit(bitsVal, i, 1)
 				}
 			}
-			m[v.Name] = eval.BVValue(bv.New(v.Sort.Width, bitsVal))
+			if v.Sort.Kind == smt.KindFloat {
+				m[v.Name] = eval.FPValue(fp.FromBits(smt.FPFormat(v.Sort), bitsVal))
+			} else {
+				m[v.Name] = eval.BVValue(bv.New(v.Sort.Width, bitsVal))
+			}
 		}
 	}
 	return m
@@ -252,6 +260,14 @@ func (b *Blaster) litValWith(l sat.Lit, val func(v int) bool) bool {
 }
 
 func (b *Blaster) fresh() sat.Lit { return sat.PosLit(b.s.NewVar()) }
+
+func (b *Blaster) freshVec(w int) []sat.Lit {
+	vec := make([]sat.Lit, w)
+	for i := range vec {
+		vec[i] = b.fresh()
+	}
+	return vec
+}
 
 // Gate construction with constant folding.
 
@@ -701,6 +717,8 @@ func (b *Blaster) boolTermUncached(t *smt.Term) (sat.Lit, error) {
 		}
 	case smt.OpBVNegO, smt.OpBVSAddO, smt.OpBVSSubO, smt.OpBVSMulO, smt.OpBVSDivO:
 		return b.overflow(t)
+	case smt.OpFPEq, smt.OpFPLt, smt.OpFPLe, smt.OpFPGt, smt.OpFPGe, smt.OpFPIsNaN, smt.OpFPIsInf:
+		return b.fpPredicate(t)
 	}
 	return 0, fmt.Errorf("bitblast: unsupported boolean operator %v", t.Op)
 }
@@ -726,6 +744,9 @@ func (b *Blaster) eqDistinct(t *smt.Term) (sat.Lit, error) {
 		y, err := b.bvTerm(t.Args[j])
 		if err != nil {
 			return 0, err
+		}
+		if kind == smt.KindFloat {
+			return b.fpSame(smt.FPFormat(t.Args[i].Sort), x, y), nil
 		}
 		return b.eqVec(x, y), nil
 	}
@@ -835,6 +856,9 @@ func (b *Blaster) bvTermUncached(t *smt.Term) ([]sat.Lit, error) {
 			return nil, err
 		}
 		return b.muxVec(c, x, y), nil
+	}
+	if t.Sort.Kind == smt.KindFloat {
+		return b.fpTerm(t)
 	}
 
 	args := make([][]sat.Lit, len(t.Args))

@@ -223,31 +223,7 @@ func RunPortfolio(ctx context.Context, c *smt.Constraint, cfg Config) PortfolioR
 	cfg = cfg.WithDefaults()
 	start := time.Now()
 	portfolioRuns.Inc()
-
-	staub := func(legCfg Config) func(*atomic.Bool) PipelineResult {
-		return func(interrupt *atomic.Bool) PipelineResult { return RunPipeline(ctx, c, legCfg, interrupt) }
-	}
-	// The sequential STAUB leg always runs without cubing or
-	// over-approximation, so racing the extra legs preserves the two-leg
-	// baseline behavior exactly.
-	seq, cube, over := cfg, cfg, cfg
-	seq.CubeVars, seq.OverApprox = 0, false
-	cube.OverApprox = false
-	over.CubeVars = 0
-	legs := []leg{
-		legUnbounded: {"unbounded", func(interrupt *atomic.Bool) PipelineResult {
-			r := pipeline.SolveOriginal(ctx, c, cfg, interrupt)
-			return PipelineResult{Status: r.Status, Model: r.Model, SolveWork: r.Work}
-		}, decided},
-		legSequential: {"staub", staub(seq), onlySat},
-	}
-	if cfg.CubeVars > 0 {
-		legs = append(legs, leg{"cube", staub(cube), onlySat})
-	}
-	if cfg.OverApprox {
-		legs = append(legs, leg{"over", staub(over), decided})
-	}
-
+	legs := portfolioLegs(ctx, c, cfg)
 	results, winner := race(legs)
 	for i, l := range legs {
 		won := 0
@@ -274,4 +250,33 @@ func RunPortfolio(ctx context.Context, c *smt.Constraint, cfg Config) PortfolioR
 		portfolioDegraded.Inc()
 	}
 	return out
+}
+
+// portfolioLegs is RunPortfolio's table of legs for c under cfg, whose
+// defaults are filled in.
+func portfolioLegs(ctx context.Context, c *smt.Constraint, cfg Config) []leg {
+	staub := func(legCfg Config) func(*atomic.Bool) PipelineResult {
+		return func(interrupt *atomic.Bool) PipelineResult { return RunPipeline(ctx, c, legCfg, interrupt) }
+	}
+	// The sequential STAUB leg always runs without cubing or
+	// over-approximation, so racing the extra legs preserves the two-leg
+	// baseline behavior exactly.
+	seq, cube, over := cfg, cfg, cfg
+	seq.CubeVars, seq.OverApprox = 0, false
+	cube.OverApprox = false
+	over.CubeVars = 0
+	legs := []leg{
+		legUnbounded: {"unbounded", func(interrupt *atomic.Bool) PipelineResult {
+			r := pipeline.SolveOriginal(ctx, c, cfg, interrupt)
+			return PipelineResult{Status: r.Status, Model: r.Model, SolveWork: r.Work}
+		}, decided},
+		legSequential: {"staub", staub(seq), onlySat},
+	}
+	if cfg.CubeVars > 0 {
+		legs = append(legs, leg{"cube", staub(cube), onlySat})
+	}
+	if cfg.OverApprox {
+		legs = append(legs, leg{"over", staub(over), decided})
+	}
+	return legs
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/big"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,11 +175,16 @@ func TestPortfolioAgreesWithDirectSolve(t *testing.T) {
 }
 
 // TestPortfolioCancelsLosingLegPromptly races a benchgen nra-unsat
-// instance, which the unbounded leg refutes at once. The sequential leg
-// can only lose, and its bounded FP search must notice the cancellation
-// within a node or two: polling the interrupt every 512 nodes let it burn
-// 512*40 work units however early the race was decided. The decided race
-// also records one cancellation time.
+// instance, which the unbounded leg refutes at once and the sequential
+// leg can only lose. The legs are ordered by hooks, not by the CPU: the
+// sequential leg waits at its start, and the unbounded leg raises its
+// interrupt at its verdict, so the losing leg is running when the
+// interrupt arrives on every run. Its bounded FP solve must then stop
+// within a node or two and never reach its CDCL stage, which would refute
+// the bounded form in a few units: it ends bounded-unknown, interrupted,
+// not bounded-unsat on its own. Polling the interrupt every 512 nodes let
+// it burn 512*40 work units however early the race was decided. The
+// decided race also records one cancellation time.
 func TestPortfolioCancelsLosingLegPromptly(t *testing.T) {
 	insts, err := benchgen.Suite("QF_NRA", 48, 1)
 	if err != nil {
@@ -194,13 +200,33 @@ func TestPortfolioCancelsLosingLegPromptly(t *testing.T) {
 	if c == nil {
 		t.Fatal("no multi-variable nra-unsat instance in the suite")
 	}
-	before := portfolioCancel.Count()
-	res := RunPortfolio(context.Background(), c, Config{Timeout: 5 * time.Second})
-	if res.Status != status.Unsat || res.FromSTAUB {
-		t.Fatalf("status/FromSTAUB = %v/%t, want unsat from the unbounded leg", res.Status, res.FromSTAUB)
+	legs := portfolioLegs(context.Background(), c, Config{Timeout: 5 * time.Second}.WithDefaults())
+	seqFlag, verdict := make(chan *atomic.Bool, 1), make(chan struct{})
+	unbounded, seq := legs[legUnbounded].run, legs[legSequential].run
+	legs[legUnbounded].run = func(interrupt *atomic.Bool) PipelineResult {
+		r := unbounded(interrupt)
+		if r.Status != status.Unknown {
+			(<-seqFlag).Store(true)
+		}
+		close(verdict)
+		return r
 	}
-	if res.Pipeline.SolveWork >= 512*40 {
-		t.Errorf("losing sequential leg spent %d solve work units, want < %d", res.Pipeline.SolveWork, 512*40)
+	legs[legSequential].run = func(interrupt *atomic.Bool) PipelineResult {
+		seqFlag <- interrupt
+		<-verdict
+		return seq(interrupt)
+	}
+	before := portfolioCancel.Count()
+	results, winner := race(legs)
+	if winner != legUnbounded || results[legUnbounded].Status != status.Unsat {
+		t.Fatalf("winner %d with %v, want unsat from the unbounded leg", winner, results[legUnbounded].Status)
+	}
+	lost := results[legSequential]
+	if lost.Outcome != pipeline.OutcomeBoundedUnknown {
+		t.Errorf("losing sequential leg ended %s, want %s: it finished instead of being interrupted", lost.Outcome, pipeline.OutcomeBoundedUnknown)
+	}
+	if lost.SolveWork >= 512*40 {
+		t.Errorf("losing sequential leg spent %d solve work units, want < %d", lost.SolveWork, 512*40)
 	}
 	if got := portfolioCancel.Count(); got != before+1 {
 		t.Errorf("cancel histogram count %d → %d, want one observation", before, got)

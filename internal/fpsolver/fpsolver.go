@@ -1,10 +1,9 @@
-// Package fpsolver decides the small parameterized-width floating-point
-// constraints STAUB's real-to-FP translation emits. Because the theory is
-// bounded (Definition 3.3 of the paper), the search space per variable is
-// finite: for the sorts STAUB selects it is typically a few thousand bit
-// patterns, so an exhaustive search with per-assertion pruning is a
-// complete decision procedure. Larger spaces fall back to a
-// violation-guided local search that can find models but not prove unsat.
+// Package fpsolver is a violation-guided local search over the
+// floating-point constraints STAUB's real-to-FP translation emits. It
+// finds models, often in a few moves, but proves nothing unsat; package
+// solver runs it on the first half of an FP solve's budget and decides
+// the rest by CDCL over package bitblast's round-to-nearest-even
+// circuits.
 package fpsolver
 
 import (
@@ -26,9 +25,6 @@ type Params struct {
 	Deadline time.Time
 	// Interrupt aborts the search when it becomes true (nil: none).
 	Interrupt *atomic.Bool
-	// ExhaustiveLimit is the largest total assignment-space size decided
-	// exhaustively (default 1<<21).
-	ExhaustiveLimit float64
 	// SearchIters bounds local-search steps (default 50000).
 	SearchIters int
 	// NodeBudget bounds total search nodes — a deterministic work budget
@@ -39,9 +35,6 @@ type Params struct {
 }
 
 func (p Params) withDefaults() Params {
-	if p.ExhaustiveLimit == 0 {
-		p.ExhaustiveLimit = 1 << 21
-	}
 	if p.SearchIters == 0 {
 		p.SearchIters = 50000
 	}
@@ -50,21 +43,14 @@ func (p Params) withDefaults() Params {
 
 // Stats reports search effort.
 type Stats struct {
-	Nodes      int64
-	Exhaustive bool
-	TimedOut   bool
+	Nodes    int64
+	TimedOut bool
 }
 
 type solver struct {
 	c        *smt.Constraint
 	params   Params
 	fpVars   []*smt.Term
-	boolVars []*smt.Term
-	// stream builds one variable's candidate enumeration for the
-	// exhaustive search.
-	stream func(smt.Sort, [2]*big.Rat) *candStream
-	// byLastVar[i] lists assertions whose variables are all among the
-	// first i+1 fp variables (for pruning during exhaustive DFS).
 	nodes    int64
 	timedOut bool
 }
@@ -101,251 +87,24 @@ func (s *solver) interrupted() bool {
 	return s.timedOut
 }
 
-// Solve decides a floating-point constraint.
+// Solve searches for a model of a floating-point constraint. It answers
+// Sat with a model or Unknown, never Unsat. A constraint without
+// floating-point variables, or with a variable of another sort (boolean
+// ones included), is outside its fragment: it answers Unknown at once.
 func Solve(c *smt.Constraint, p Params) (status.Status, eval.Assignment, Stats) {
-	return solveWith(c, p, newCandStream)
-}
-
-// solveWith is Solve with the exhaustive search's candidate enumeration built
-// by stream; tests substitute the eager reference.
-func solveWith(c *smt.Constraint, p Params, stream func(smt.Sort, [2]*big.Rat) *candStream) (status.Status, eval.Assignment, Stats) {
 	p = p.withDefaults()
-	s := &solver{c: c, params: p, stream: stream}
+	s := &solver{c: c, params: p}
 	for _, v := range c.Vars {
-		switch v.Sort.Kind {
-		case smt.KindFloat:
-			s.fpVars = append(s.fpVars, v)
-		case smt.KindBool:
-			s.boolVars = append(s.boolVars, v)
-		default:
+		if v.Sort.Kind != smt.KindFloat {
 			return status.Unknown, nil, Stats{}
 		}
+		s.fpVars = append(s.fpVars, v)
 	}
-	if len(s.boolVars) > 0 {
-		// The translator never emits boolean variables alongside floats in
-		// practice; treat their presence as out of fragment.
+	if len(s.fpVars) == 0 {
 		return status.Unknown, nil, Stats{}
-	}
-
-	// Space size: product of 2^(total bits) per variable.
-	space := 1.0
-	for _, v := range s.fpVars {
-		space *= math.Pow(2, float64(v.Sort.TotalBits()))
-	}
-	if space <= p.ExhaustiveLimit {
-		st, m := s.exhaustive()
-		return st, m, Stats{Nodes: s.nodes, Exhaustive: true, TimedOut: s.timedOut}
 	}
 	st, m := s.localSearch()
 	return st, m, Stats{Nodes: s.nodes, TimedOut: s.timedOut}
-}
-
-// assertionIndex returns, for each fp variable position, the assertions
-// that become fully assigned at that position given the variable order.
-func (s *solver) assertionIndex() [][]*smt.Term {
-	pos := map[string]int{}
-	for i, v := range s.fpVars {
-		pos[v.Name] = i
-	}
-	out := make([][]*smt.Term, len(s.fpVars))
-	for _, a := range s.c.Assertions {
-		last := -1
-		for _, v := range a.Vars() {
-			if p, ok := pos[v.Name]; ok && p > last {
-				last = p
-			}
-		}
-		if last < 0 {
-			last = 0 // ground assertion: check at the first level
-		}
-		out[last] = append(out[last], a)
-	}
-	return out
-}
-
-// candidates returns every bit pattern of the sort ordered small-magnitude
-// first (positive then negative per magnitude), excluding NaN and
-// infinities (which the translation guards off). The exhaustive search
-// enumerates the same order lazily (candStream); this eager list is its
-// reference.
-func candidates(sort smt.Sort) []fp.Value {
-	f := smt.FPFormat(sort)
-	total := f.TotalBits()
-	half := 1 << (total - 1)
-	out := make([]fp.Value, 0, 1<<total)
-	for m := 0; m < half; m++ {
-		posV := fp.FromBits(f, big.NewInt(int64(m)))
-		if posV.IsFinite() {
-			out = append(out, posV)
-		}
-		negV := fp.FromBits(f, big.NewInt(int64(m|half)))
-		if negV.IsFinite() {
-			out = append(out, negV)
-		}
-	}
-	return out
-}
-
-// unitBounds scans top-level assertions of the shape (op var const) or
-// (op const var) and returns, per variable, a closed rational interval
-// every model must respect. Pruning candidates against it is sound
-// because each assertion must hold in any model.
-func (s *solver) unitBounds() map[string][2]*big.Rat {
-	out := map[string][2]*big.Rat{}
-	tighten := func(name string, lo, hi *big.Rat) {
-		b, ok := out[name]
-		if !ok {
-			out[name] = [2]*big.Rat{lo, hi}
-			return
-		}
-		if lo != nil && (b[0] == nil || lo.Cmp(b[0]) > 0) {
-			b[0] = lo
-		}
-		if hi != nil && (b[1] == nil || hi.Cmp(b[1]) < 0) {
-			b[1] = hi
-		}
-		out[name] = b
-	}
-	for _, a := range s.c.Assertions {
-		op := a.Op
-		if len(a.Args) != 2 {
-			continue
-		}
-		v, k := a.Args[0], a.Args[1]
-		flipped := false
-		if v.Op == smt.OpFPConst && k.Op == smt.OpVar {
-			v, k = k, v
-			flipped = true
-		}
-		if v.Op != smt.OpVar || k.Op != smt.OpFPConst || k.Class != smt.FPFinite {
-			continue
-		}
-		bound := k.RatVal
-		switch op {
-		case smt.OpFPEq:
-			tighten(v.Name, bound, bound)
-		case smt.OpFPLt, smt.OpFPLe:
-			if flipped { // const < var
-				tighten(v.Name, bound, nil)
-			} else {
-				tighten(v.Name, nil, bound)
-			}
-		case smt.OpFPGt, smt.OpFPGe:
-			if flipped { // const > var
-				tighten(v.Name, nil, bound)
-			} else {
-				tighten(v.Name, bound, nil)
-			}
-		}
-	}
-	return out
-}
-
-// candStream enumerates one variable's candidates lazily: the order of
-// candidates(sort), keeping only patterns inside the variable's unit
-// bounds. Patterns generated so far are memoized, so deeper DFS levels
-// replay their prefix instead of regenerating it, and a search that stops
-// early never builds the rest of a space of up to 2^21 patterns.
-type candStream struct {
-	f      fp.Format
-	half   int
-	next   int // next raw pattern in enumeration order, 0 ≤ next ≤ 2*half
-	lo, hi *big.Rat
-	vals   []fp.Value
-}
-
-func newCandStream(sort smt.Sort, bound [2]*big.Rat) *candStream {
-	f := smt.FPFormat(sort)
-	return &candStream{f: f, half: 1 << (f.TotalBits() - 1), lo: bound[0], hi: bound[1]}
-}
-
-// at returns the k-th candidate of cs, generating patterns until it
-// exists. It reports false when the stream is exhausted, or when the
-// interrupt fires while patterns outside the bounds are being skipped
-// (s.timedOut tells the two apart).
-func (s *solver) at(cs *candStream, k int) (fp.Value, bool) {
-	for len(cs.vals) <= k {
-		if cs.next == 2*cs.half || s.interrupted() {
-			return fp.Value{}, false
-		}
-		// Raw pattern 2m is magnitude m positive, 2m+1 the same negated.
-		m := cs.next / 2
-		if cs.next%2 == 1 {
-			m |= cs.half
-		}
-		cs.next++
-		v := fp.FromBits(cs.f, big.NewInt(int64(m)))
-		if !v.IsFinite() {
-			continue
-		}
-		if cs.lo != nil || cs.hi != nil {
-			r, _ := v.Rat()
-			if cs.lo != nil && r.Cmp(cs.lo) < 0 || cs.hi != nil && r.Cmp(cs.hi) > 0 {
-				continue
-			}
-		}
-		cs.vals = append(cs.vals, v)
-	}
-	return cs.vals[k], true
-}
-
-func (s *solver) exhaustive() (status.Status, eval.Assignment) {
-	if len(s.fpVars) == 0 {
-		m := eval.Assignment{}
-		ok, err := eval.Constraint(s.c, m)
-		if err != nil || !ok {
-			return status.Unsat, nil
-		}
-		return status.Sat, m
-	}
-	bounds := s.unitBounds()
-	cands := make([]*candStream, len(s.fpVars))
-	for i, v := range s.fpVars {
-		cands[i] = s.stream(v.Sort, bounds[v.Name])
-	}
-	index := s.assertionIndex()
-	asg := eval.Assignment{}
-	st := s.dfs(0, cands, index, asg)
-	if st == status.Sat {
-		return status.Sat, asg
-	}
-	if s.timedOut {
-		return status.Unknown, nil
-	}
-	return status.Unsat, nil
-}
-
-func (s *solver) dfs(i int, cands []*candStream, index [][]*smt.Term, asg eval.Assignment) status.Status {
-	if i == len(s.fpVars) {
-		return status.Sat
-	}
-	name := s.fpVars[i].Name
-	for k := 0; ; k++ {
-		cand, more := s.at(cands[i], k)
-		if !more {
-			break
-		}
-		if !s.checkBudget() {
-			return status.Unknown
-		}
-		asg[name] = eval.FPValue(cand)
-		ok := true
-		for _, a := range index[i] {
-			holds, err := eval.Bool(a, asg)
-			if err != nil || !holds {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		if st := s.dfs(i+1, cands, index, asg); st != status.Unsat {
-			return st
-		}
-	}
-	delete(asg, name)
-	return status.Unsat
 }
 
 // localSearch hill-climbs over assignments guided by a violation cost.
@@ -522,12 +281,3 @@ func (s *solver) termCost(t *smt.Term, asg eval.Assignment) float64 {
 	}
 	return 1
 }
-
-// SortCandidateCount reports how many finite patterns a sort has — used by
-// callers to predict whether exhaustive solving applies.
-func SortCandidateCount(s smt.Sort) int {
-	return len(candidates(s))
-}
-
-// Candidates is exported for tests: the ordered candidate list of a sort.
-func Candidates(s smt.Sort) []fp.Value { return candidates(s) }

@@ -1,4 +1,4 @@
-package fpsolver
+package fpsolver_test
 
 import (
 	"math/big"
@@ -8,7 +8,9 @@ import (
 
 	"staub/internal/eval"
 	"staub/internal/fp"
+	"staub/internal/fpsolver"
 	"staub/internal/smt"
+	"staub/internal/solver"
 	"staub/internal/status"
 )
 
@@ -19,22 +21,24 @@ func fpConst(t *testing.T, c *smt.Constraint, sort smt.Sort, num, den int64) *sm
 	return c.Builder.FP(sort, v.Bits(), r)
 }
 
+// solve decides c the way the Figure 3 chain does, through solver.Solve's
+// floating-point path: the local search on half the budget, then CDCL.
 func solve(t *testing.T, c *smt.Constraint) (status.Status, eval.Assignment) {
 	t.Helper()
-	st, m, _ := Solve(c, Params{Deadline: time.Now().Add(10 * time.Second)})
-	if st == status.Sat {
-		ok, err := eval.Constraint(c, m)
+	r := solver.Solve(c, solver.Options{Deadline: time.Now().Add(10 * time.Second)})
+	if r.Status == status.Sat {
+		ok, err := eval.Constraint(c, r.Model)
 		if err != nil {
 			t.Fatalf("eval: %v", err)
 		}
 		if !ok {
-			t.Fatalf("model %v does not satisfy:\n%s", m, c.Script())
+			t.Fatalf("model %v does not satisfy:\n%s", r.Model, c.Script())
 		}
 	}
-	return st, m
+	return r.Status, r.Model
 }
 
-func smallSort() smt.Sort { return smt.FloatSort(4, 6) } // 10 bits: exhaustive
+func smallSort() smt.Sort { return smt.FloatSort(4, 6) }
 
 func TestSimpleEquality(t *testing.T) {
 	sort := smallSort()
@@ -62,7 +66,7 @@ func TestUnsatProvedExhaustively(t *testing.T) {
 	c.MustAssert(b.MustApply(smt.OpFPGt, x, zero))
 	st, _ := solve(t, c)
 	if st != status.Unsat {
-		t.Fatalf("status = %v, want unsat (exhaustive)", st)
+		t.Fatalf("status = %v, want unsat (CDCL)", st)
 	}
 }
 
@@ -86,7 +90,7 @@ func TestArithmeticSearch(t *testing.T) {
 }
 
 func TestTwoVariables(t *testing.T) {
-	sort := smt.FloatSort(3, 4) // 6 bits each: exhaustive pair search
+	sort := smt.FloatSort(3, 4)
 	c := smt.NewConstraint("QF_FP")
 	b := c.Builder
 	x := c.MustDeclare("x", sort)
@@ -118,8 +122,7 @@ func TestNaNGuardsRespected(t *testing.T) {
 }
 
 func TestLocalSearchLargeFormat(t *testing.T) {
-	// Float32 is far beyond exhaustive range; local search must find an
-	// easy target.
+	// The local search alone must find an easy Float32 target.
 	sort := smt.Float32Sort
 	c := smt.NewConstraint("QF_FP")
 	b := c.Builder
@@ -127,12 +130,9 @@ func TestLocalSearchLargeFormat(t *testing.T) {
 	y := c.MustDeclare("y", sort)
 	c.MustAssert(b.MustApply(smt.OpFPEq, x, fpConst(t, c, sort, 10, 1)))
 	c.MustAssert(b.MustApply(smt.OpFPGt, y, x))
-	st, m, stats := Solve(c, Params{Deadline: time.Now().Add(10 * time.Second), Seed: 7})
+	st, m, stats := fpsolver.Solve(c, fpsolver.Params{Deadline: time.Now().Add(10 * time.Second), Seed: 7})
 	if st != status.Sat {
 		t.Fatalf("status = %v (nodes %d)", st, stats.Nodes)
-	}
-	if stats.Exhaustive {
-		t.Error("Float32 pair should not be exhaustive")
 	}
 	ok, err := eval.Constraint(c, m)
 	if err != nil || !ok {
@@ -150,7 +150,7 @@ func TestFloat64LocalSearchNoPanic(t *testing.T) {
 	y := c.MustDeclare("y", sort)
 	c.MustAssert(b.MustApply(smt.OpFPGt, x, fpConst(t, c, sort, 1000, 1)))
 	c.MustAssert(b.MustApply(smt.OpFPLt, y, x))
-	st, m, _ := Solve(c, Params{Deadline: time.Now().Add(10 * time.Second), Seed: 3})
+	st, m, _ := fpsolver.Solve(c, fpsolver.Params{Deadline: time.Now().Add(10 * time.Second), Seed: 3})
 	if st == status.Sat {
 		ok, err := eval.Constraint(c, m)
 		if err != nil || !ok {
@@ -160,52 +160,33 @@ func TestFloat64LocalSearchNoPanic(t *testing.T) {
 }
 
 // TestInterruptStopsWithinOneNode pins the cancellation latency: with
-// the interrupt already raised, the exhaustive and the local-search path
-// both give up after at most one node, where a 512-node poll window used
-// to let them run on.
+// the interrupt already raised, the local search gives up after at most
+// one node, where a 512-node poll window used to let it run on, and
+// solver.Solve's floating-point path stops there too, without starting
+// its CDCL stage.
 func TestInterruptStopsWithinOneNode(t *testing.T) {
+	instance := func(sort smt.Sort) *smt.Constraint {
+		c := smt.NewConstraint("QF_FP")
+		b := c.Builder
+		x := c.MustDeclare("x", sort)
+		y := c.MustDeclare("y", sort)
+		c.MustAssert(b.MustApply(smt.OpFPGt, x, fpConst(t, c, sort, 7, 1)))
+		c.MustAssert(b.MustApply(smt.OpFPLt, y, x))
+		return c
+	}
 	var stop atomic.Bool
 	stop.Store(true)
-	for _, tc := range []struct {
-		name       string
-		sort       smt.Sort
-		exhaustive bool
-	}{
-		{"exhaustive", smallSort(), true},
-		{"local-search", smt.Float32Sort, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := smt.NewConstraint("QF_FP")
-			b := c.Builder
-			x := c.MustDeclare("x", tc.sort)
-			y := c.MustDeclare("y", tc.sort)
-			c.MustAssert(b.MustApply(smt.OpFPGt, x, fpConst(t, c, tc.sort, 7, 1)))
-			c.MustAssert(b.MustApply(smt.OpFPLt, y, x))
-			st, _, stats := Solve(c, Params{Interrupt: &stop, Seed: 1})
-			if st != status.Unknown || !stats.TimedOut || stats.Nodes > 1 || stats.Exhaustive != tc.exhaustive {
-				t.Fatalf("interrupted Solve = %v %+v, want unknown, timed out, exhaustive=%t, at most 1 node",
-					st, stats, tc.exhaustive)
-			}
-		})
-	}
-}
-
-func TestCandidatesOrdering(t *testing.T) {
-	sort := smt.FloatSort(3, 3)
-	cands := Candidates(sort)
-	if len(cands) == 0 {
-		t.Fatal("no candidates")
-	}
-	for _, v := range cands {
-		if !v.IsFinite() {
-			t.Fatal("non-finite candidate")
+	t.Run("both-stages", func(t *testing.T) {
+		r := solver.Solve(instance(smallSort()), solver.Options{Interrupt: &stop, Seed: 1})
+		if r.Status != status.Unknown || !r.TimedOut || r.Work > 40 || r.Engine != "fpsearch" {
+			t.Fatalf("interrupted Solve = %v, timed out %t, work %d, engine %s; want unknown, timed out, at most one node's 40 units, fpsearch",
+				r.Status, r.TimedOut, r.Work, r.Engine)
 		}
-	}
-	// First candidate is +0 (smallest magnitude).
-	if !cands[0].IsZero() {
-		t.Errorf("first candidate = %v, want 0", cands[0])
-	}
-	if got := SortCandidateCount(sort); got != len(cands) {
-		t.Errorf("SortCandidateCount = %d, want %d", got, len(cands))
-	}
+	})
+	t.Run("local-search", func(t *testing.T) {
+		st, _, stats := fpsolver.Solve(instance(smt.Float32Sort), fpsolver.Params{Interrupt: &stop, Seed: 1})
+		if st != status.Unknown || !stats.TimedOut || stats.Nodes > 1 {
+			t.Fatalf("interrupted Solve = %v %+v, want unknown, timed out, at most 1 node", st, stats)
+		}
+	})
 }

@@ -1,7 +1,8 @@
 // Package solver is the façade over every decision engine in the
 // repository. It dispatches a constraint by the sorts it uses — bitvector
 // and boolean constraints to the bit-blasting CDCL pipeline, floating-point
-// constraints to the bounded FP search, integer and real constraints to the
+// constraints to fpsolver's local search and then to CDCL over
+// round-to-nearest-even circuits, integer and real constraints to the
 // unbounded engines — under a single deadline/interrupt regime.
 //
 // Two solver profiles are provided, Prima and Secunda, with different
@@ -196,51 +197,10 @@ func solveDispatch(c *smt.Constraint, o Options) Result {
 		return Result{Status: st, Model: m, Work: int64(c.NumNodes()), Engine: "ground"}
 
 	case KindBool, KindBV:
-		var sref *sat.Solver
-		st, model, err := bitblast.Solve(c, func(s *sat.Solver) {
-			sref = s
-			s.Deadline = o.Deadline
-			if o.WorkBudget > 0 {
-				s.PropagationCap = o.WorkBudget * satWorkScale
-			}
-			if o.Interrupt != nil {
-				s.SetInterrupt(o.Interrupt)
-			}
-		})
-		out := Result{Engine: "bitblast"}
-		if sref != nil {
-			out.Work = sref.Stats.Propagations / satWorkScale
-			recordSATStats(sref.Stats)
-		}
-		if err != nil {
-			out.Status = status.Unknown
-			return out
-		}
-		switch st {
-		case sat.Sat:
-			out.Status, out.Model = status.Sat, model
-		case sat.Unsat:
-			out.Status = status.Unsat
-		default:
-			out.Status = status.Unknown
-			out.TimedOut = true
-		}
-		return out
+		return solveCNF(c, o, o.WorkBudget)
 
 	case KindFP:
-		p := fpsolver.Params{Deadline: o.Deadline, Interrupt: o.Interrupt, Seed: o.Seed}
-		if o.Profile == Secunda {
-			p.SearchIters = 120000
-			p.ExhaustiveLimit = 1 << 22
-		}
-		if o.WorkBudget > 0 {
-			p.NodeBudget = o.WorkBudget / fpWorkCost
-			if p.NodeBudget < 1 {
-				p.NodeBudget = 1
-			}
-		}
-		st, model, stats := fpsolver.Solve(c, p)
-		return Result{Status: st, Model: model, Work: stats.Nodes * fpWorkCost, TimedOut: stats.TimedOut, Engine: "fpsearch"}
+		return solveFP(c, o)
 
 	case KindInt:
 		p := intsolver.Params{Deadline: o.Deadline, Interrupt: o.Interrupt}
@@ -272,6 +232,77 @@ func solveDispatch(c *smt.Constraint, o Options) Result {
 	default:
 		return Result{Status: status.Unknown, Engine: "unsupported"}
 	}
+}
+
+// solveCNF bit-blasts c and decides it by CDCL within budget work units
+// (0: no budget).
+func solveCNF(c *smt.Constraint, o Options, budget int64) Result {
+	var sref *sat.Solver
+	st, model, err := bitblast.Solve(c, func(s *sat.Solver) {
+		sref = s
+		s.Deadline = o.Deadline
+		if budget > 0 {
+			s.PropagationCap = budget * satWorkScale
+		}
+		if o.Interrupt != nil {
+			s.SetInterrupt(o.Interrupt)
+		}
+	})
+	out := Result{Engine: "bitblast"}
+	if sref != nil {
+		out.Work = sref.Stats.Propagations / satWorkScale
+		recordSATStats(sref.Stats)
+	}
+	if err != nil {
+		out.Status = status.Unknown
+		return out
+	}
+	switch st {
+	case sat.Sat:
+		out.Status, out.Model = status.Sat, model
+	case sat.Unsat:
+		out.Status = status.Unsat
+	default:
+		out.Status = status.Unknown
+		out.TimedOut = true
+	}
+	return out
+}
+
+// solveFP decides a floating-point constraint in two stages under one
+// budget. fpsolver's local search runs first on half of it: half the work
+// budget, or with only a deadline until the midpoint of the time left.
+// CDCL over package bitblast's circuits then runs on the rest, finding
+// the models the search misses and proving bounded unsat. A constraint
+// with boolean variables is outside the search's fragment: the search
+// gives up at once and CDCL gets the whole budget. Result.Work sums both
+// stages; Result.Engine names the stage that answered.
+func solveFP(c *smt.Constraint, o Options) Result {
+	p := fpsolver.Params{Deadline: o.Deadline, Interrupt: o.Interrupt, Seed: o.Seed}
+	if o.Profile == Secunda {
+		p.SearchIters = 120000
+	}
+	if o.WorkBudget > 0 {
+		p.NodeBudget = max(o.WorkBudget/2/fpWorkCost, 1)
+	} else if !o.Deadline.IsZero() {
+		p.Deadline = time.Now().Add(time.Until(o.Deadline) / 2)
+	}
+	st, model, stats := fpsolver.Solve(c, p)
+	search := Result{Status: st, Model: model, Work: stats.Nodes * fpWorkCost, TimedOut: stats.TimedOut, Engine: "fpsearch"}
+	if st != status.Unknown {
+		return search
+	}
+	if o.Interrupt != nil && o.Interrupt.Load() || !o.Deadline.IsZero() && time.Now().After(o.Deadline) {
+		search.TimedOut = true
+		return search
+	}
+	var budget int64
+	if o.WorkBudget > 0 {
+		budget = max(o.WorkBudget-search.Work, 1)
+	}
+	out := solveCNF(c, o, budget)
+	out.Work += search.Work
+	return out
 }
 
 // SolveTimeout is a convenience wrapping Solve with a duration budget. The

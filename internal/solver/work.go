@@ -5,8 +5,8 @@ import "time"
 // Virtual-time cost model.
 //
 // Every engine in the repository counts its elementary search steps
-// (intsolver and realsolver nodes, fpsolver assignments, SAT propagations
-// scaled by satWorkScale). A solve that is given a WorkBudget terminates on
+// (intsolver and realsolver nodes, fpsolver local-search moves, SAT
+// propagations scaled by satWorkScale). A solve that is given a WorkBudget terminates on
 // that deterministic step count instead of the wall clock, so verdicts and
 // reported costs are identical across runs, machines and worker counts.
 // Virtual time converts work units to durations at a fixed rate, which is
@@ -31,8 +31,10 @@ const (
 	SATWorkScale = satWorkScale
 
 	// fpWorkCost is how many work units one fpsolver node costs: every node
-	// re-evaluates the assertion set in big-number arithmetic, which is far
-	// more expensive than an intsolver/realsolver branch step.
+	// re-evaluates the whole assertion set and its violation cost, far
+	// more than an intsolver/realsolver branch step. The price dates from
+	// when that evaluation ran on big-number arithmetic; the FP word
+	// kernel made a node about ten times cheaper without repricing it.
 	fpWorkCost = 40
 )
 

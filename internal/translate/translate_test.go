@@ -6,9 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"staub/internal/bitblast"
 	"staub/internal/bv"
 	"staub/internal/eval"
 	"staub/internal/fp"
+	"staub/internal/sat"
 	"staub/internal/smt"
 )
 
@@ -309,5 +311,53 @@ func TestModTranslationSemanticDifference(t *testing.T) {
 	}
 	if !ok {
 		t.Errorf("positive-divisor mod should agree:\n%s", res.Bounded.Script())
+	}
+}
+
+// TestRealToFPOperatorsHaveCircuits pins the real-to-FP translation to
+// the bit-blaster: one constraint uses every operator RealToFP emits
+// (every realOpMap target plus fp.eq, fp.neg, fp.isNaN, fp.isInfinite,
+// a floating-point ite, and = and distinct over booleans), its translation
+// must encode, and CDCL's model must satisfy it under the evaluator. A
+// new realOpMap entry fails the test until the constraint uses it, and
+// then fails it again if it has no circuit.
+func TestRealToFPOperatorsHaveCircuits(t *testing.T) {
+	c := parse(t, `(declare-fun x () Real) (declare-fun y () Real)
+		(declare-fun p () Bool) (declare-fun q () Bool)
+		(assert (= (+ x y) 3.0)) (assert (< (- x y) 1.0)) (assert (<= (* x y) 2.0))
+		(assert (> (/ x 2.0) 0.0)) (assert (>= (- x) (- 2.0))) (assert (distinct x y))
+		(assert (= p (> x y))) (assert (distinct p q)) (assert (= (ite p x y) 2.0))
+		(check-sat)`)
+	res, err := RealToFP(c, smt.FloatSort(4, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[smt.Op]bool{}
+	for _, a := range res.Bounded.Assertions {
+		a.Walk(func(tm *smt.Term) bool {
+			if tm.Op != smt.OpIte || tm.Sort.Kind == smt.KindFloat {
+				used[tm.Op] = true
+			}
+			return true
+		})
+	}
+	want := []smt.Op{smt.OpFPEq, smt.OpFPNeg, smt.OpFPIsNaN, smt.OpFPIsInf, smt.OpIte, smt.OpEq, smt.OpDistinct}
+	for _, op := range realOpMap {
+		want = append(want, op)
+	}
+	for _, op := range want {
+		if !used[op] {
+			t.Errorf("the translation does not use %v; extend the constraint", op)
+		}
+	}
+	st, m, err := bitblast.Solve(res.Bounded, nil)
+	if err != nil {
+		t.Fatalf("bitblast: %v", err)
+	}
+	if st != sat.Sat {
+		t.Fatalf("CDCL answered %v, want sat (x = 1, y = 2)", st)
+	}
+	if ok, err := eval.Constraint(res.Bounded, m); err != nil || !ok {
+		t.Fatalf("CDCL model %v does not satisfy the translation (%v)", m, err)
 	}
 }
